@@ -12,7 +12,7 @@
 //   StencilRadiusExceeded — neighbour offset beyond the grid halo radius,
 //   OutOfSpanWrite       — wrote a cell outside the launched view's span,
 //   OverdeclaredAccess   — declared but never touched on any device
-//                          (inflates edges, serializes service jobs).
+//                          (inflates edges, serializes independent runs).
 //
 // Enabled per run via Container::launch(..., sanitized), per skeleton via
 // SequenceOptions::withSanitize / Skeleton::validate(Deep), or process-wide

@@ -109,14 +109,10 @@ BGrid::BGrid(set::Backend backend, index_3d dim,
     }
 
     mBase = std::move(impl);
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    computeCuts(devCount(), bzFirst, bzCount);
-    rebuildStructure(bzFirst, bzCount);
+    rebuildForCuts(computeCuts(devCount()));
 }
 
-void BGrid::computeCuts(int nDev, std::vector<int32_t>& bzFirst,
-                        std::vector<int32_t>& bzCount) const
+std::vector<int32_t> BGrid::computeCuts(int nDev) const
 {
     // Partition block rows, balancing active cells (like eGrid's plane
     // cuts). Interior devices need >= 2 rows so the boundary-low and
@@ -125,12 +121,10 @@ void BGrid::computeCuts(int nDev, std::vector<int32_t>& bzFirst,
     const int32_t minRows = nDev > 1 ? 2 : 1;
     NEON_CHECK(g.blockGrid.z >= nDev * minRows,
                "bgrid needs at least 2 block rows per device when multi-device");
-    bzFirst.assign(static_cast<size_t>(nDev), 0);
-    bzCount.assign(static_cast<size_t>(nDev), 0);
-    const double target = static_cast<double>(g.totalActive) / nDev;
-    int32_t      row = 0;
+    std::vector<int32_t> bzCount(static_cast<size_t>(nDev), 0);
+    const double         target = static_cast<double>(g.totalActive) / nDev;
+    int32_t              row = 0;
     for (int d = 0; d < nDev; ++d) {
-        bzFirst[static_cast<size_t>(d)] = row;
         int64_t       acc = 0;
         const int32_t rowsLeft = g.blockGrid.z - row;
         const int     devsLeft = nDev - d;
@@ -148,10 +142,10 @@ void BGrid::computeCuts(int nDev, std::vector<int32_t>& bzFirst,
         }
         bzCount[static_cast<size_t>(d)] = used;
     }
+    return bzCount;
 }
 
-void BGrid::rebuildStructure(const std::vector<int32_t>& bzFirst,
-                             const std::vector<int32_t>& bzCount)
+void BGrid::rebuildForCuts(const std::vector<int32_t>& bzCount)
 {
     Impl&      g = impl<Impl>();
     const int  nDev = static_cast<int>(bzCount.size());
@@ -163,10 +157,12 @@ void BGrid::rebuildStructure(const std::vector<int32_t>& bzFirst,
     auto rowSize = [&](int32_t bz) {
         return static_cast<int32_t>(g.rowBlocks[static_cast<size_t>(bz)].size());
     };
+    int32_t bzFirst = 0;
     for (int d = 0; d < nDev; ++d) {
         PartInfo& p = g.parts[static_cast<size_t>(d)];
-        p.bzFirst = bzFirst[static_cast<size_t>(d)];
+        p.bzFirst = bzFirst;
         p.bzCount = bzCount[static_cast<size_t>(d)];
+        bzFirst += p.bzCount;
         p.nOwned = 0;
         for (int32_t bz = p.bzFirst; bz < p.bzFirst + p.bzCount; ++bz) {
             p.nOwned += rowSize(bz);
@@ -325,73 +321,26 @@ int64_t BGrid::minUnitsPerDev() const
     return devCount() > 1 ? 2 : 1;
 }
 
+std::vector<domain::GridBase::PartCells> BGrid::partCells() const
+{
+    const Impl&            g = impl<Impl>();
+    const auto             vol = static_cast<int64_t>(g.blockVol);
+    std::vector<PartCells> cells;
+    for (const PartInfo& p : g.parts) {
+        cells.push_back({p.nOwned * vol, static_cast<size_t>(p.nLocal() * vol), 0});
+    }
+    return cells;
+}
+
 void BGrid::repartition(const domain::PartitionPlan& plan)
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "bGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == g.blockGrid.z,
-               "bGrid::repartition: plan must cover every block row");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "bGrid::repartition: every device needs at least 2 block rows");
-    }
-
-    // Owned cells per device in the global block ordering (active blocks
-    // ascending (bz, by, bx)); every stored block contributes blockVol
-    // buffer cells, active or not, so the migration unit is blocks * vol.
-    const auto           vol = static_cast<int64_t>(g.blockVol);
-    std::vector<int64_t> oldCells;
-    for (const PartInfo& p : g.parts) {
-        oldCells.push_back(static_cast<int64_t>(p.nOwned) * vol);
-    }
-
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    int32_t              row = 0;
-    for (const int64_t u : plan.unitsPerDev) {
-        bzFirst.push_back(row);
-        bzCount.push_back(static_cast<int32_t>(u));
-        row += static_cast<int32_t>(u);
-    }
-    rebuildStructure(bzFirst, bzCount);
-
-    domain::RegridInfo   info;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : g.parts) {
-        newCells.push_back(static_cast<int64_t>(p.nOwned) * vol);
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()) *
-                                     static_cast<size_t>(g.blockVol));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    repartitionWith(*this, plan);
 }
 
 void BGrid::rebindBackend(set::Backend survivor)
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = survivor.devCount();
-    g.backend = std::move(survivor);
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    computeCuts(nDev, bzFirst, bzCount);
-    rebuildStructure(bzFirst, bzCount);
-
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (const PartInfo& p : g.parts) {
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()) *
-                                     static_cast<size_t>(g.blockVol));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    const auto counts = computeCuts(survivor.devCount());
+    rebindWith(*this, std::move(survivor), counts);
 }
 
 BSpan BGrid::span(int dev, DataView view) const

@@ -154,12 +154,16 @@ class BGrid : public domain::GridBase, public domain::GridOps<BGrid>
     void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridBase;
+
     struct Impl;
-    /// Greedy active-balanced row cuts for `nDev` devices (ctor + rebind).
-    void computeCuts(int nDev, std::vector<int32_t>& bzFirst, std::vector<int32_t>& bzCount) const;
+    /// Greedy active-balanced row counts for `nDev` devices (ctor + rebind).
+    [[nodiscard]] std::vector<int32_t> computeCuts(int nDev) const;
     /// (Re)build parts, halo segments, structure tables and the host maps
-    /// from prescribed row cuts.
-    void rebuildStructure(const std::vector<int32_t>& bzFirst, const std::vector<int32_t>& bzCount);
+    /// for `bzCount` owned block rows per device.
+    void rebuildForCuts(const std::vector<int32_t>& bzCount);
+    /// Per-device owned/buffer cells (every stored block holds blockVol cells).
+    [[nodiscard]] std::vector<PartCells> partCells() const;
 };
 
 }  // namespace neon::bgrid

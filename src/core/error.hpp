@@ -60,7 +60,6 @@ class RuntimeError : public NeonException
         DeviceLost,      ///< op targeted a permanently lost device
         OpTimeout,       ///< op exceeded SimConfig::opTimeout (virtual seconds)
         SyncTimeout,     ///< host wait exceeded SimConfig::hostSyncTimeout (wall)
-        AdmissionRejected,  ///< neon::service refused the submission (quota/limits)
     };
 
     struct Info
@@ -68,7 +67,7 @@ class RuntimeError : public NeonException
         Kind        kind = Kind::DeviceLost;
         int         device = -1;
         int         stream = -1;
-        std::string opKind;  ///< "kernel" | "transfer" | "hostFn" | "wait" | "sync" | "submit"
+        std::string opKind;  ///< "kernel" | "transfer" | "hostFn" | "wait" | "sync"
         std::string opName;
         int         containerId = -1;  ///< skeleton graph-node id, -1 outside a skeleton
         int         runId = -1;        ///< skeleton run() window id, -1 outside
@@ -78,9 +77,6 @@ class RuntimeError : public NeonException
         /// the last run whose effects are declared consistent.
         std::string containerLabel;
         int         lastCompletedRun = -1;
-        /// Filled by neon::service: which job/tenant the failure belongs to.
-        int         jobId = -1;
-        std::string tenant;
     };
 
     explicit RuntimeError(Info info) : NeonException(format(info)), info(std::move(info)) {}
@@ -96,7 +92,6 @@ class RuntimeError : public NeonException
             case Kind::DeviceLost: kind = "device lost"; break;
             case Kind::OpTimeout: kind = "op timeout"; break;
             case Kind::SyncTimeout: kind = "sync timeout"; break;
-            case Kind::AdmissionRejected: kind = "admission rejected"; break;
         }
         std::string msg = "runtime fault [" + kind + "]: " + (i.opKind.empty() ? "op" : i.opKind);
         if (!i.opName.empty()) {
@@ -117,12 +112,6 @@ class RuntimeError : public NeonException
         }
         if (i.runId >= 0) {
             msg += ", run " + std::to_string(i.runId);
-        }
-        if (i.jobId >= 0) {
-            msg += ", job " + std::to_string(i.jobId);
-        }
-        if (!i.tenant.empty()) {
-            msg += ", tenant '" + i.tenant + "'";
         }
         if (i.lastCompletedRun >= 0) {
             msg += " (last completed run: " + std::to_string(i.lastCompletedRun) + ")";

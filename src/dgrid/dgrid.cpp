@@ -26,13 +26,13 @@ DGrid::DGrid(set::Backend backend, index_3d dim, Stencil stencil)
     impl->stencil = std::move(stencil);
     impl->haloRadius = std::max(1, impl->stencil.zRadius());
 
-    const auto counts = splitBalanced(dim.z, impl->backend.devCount());
-    rebuildTables(*impl, counts);
     mBase = std::move(impl);
+    rebuildForCuts(splitBalanced(dim.z, devCount()));
 }
 
-void DGrid::rebuildTables(Impl& impl, const std::vector<int32_t>& counts)
+void DGrid::rebuildForCuts(const std::vector<int32_t>& counts)
 {
+    Impl&          impl = this->impl<Impl>();
     const int      nDev = static_cast<int>(counts.size());
     const index_3d dim = impl.dim;
     const int      r = impl.haloRadius;
@@ -90,69 +90,27 @@ int64_t DGrid::minUnitsPerDev() const
     return std::max(1, haloRadius());
 }
 
+std::vector<domain::GridBase::PartCells> DGrid::partCells() const
+{
+    const auto             plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
+    const int64_t          r = haloRadius();
+    std::vector<PartCells> cells;
+    for (const PartInfo& p : impl<Impl>().parts) {
+        cells.push_back({p.zCount * plane, static_cast<size_t>((p.zCount + 2 * r) * plane),
+                         r * plane});
+    }
+    return cells;
+}
+
 void DGrid::repartition(const domain::PartitionPlan& plan)
 {
-    auto&     impl = this->impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "dGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == dim().z, "dGrid::repartition: plan must cover every z-plane");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "dGrid::repartition: every device needs at least haloRadius planes");
-    }
-
-    const auto           plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
-    std::vector<int64_t> oldCells;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : impl.parts) {
-        oldCells.push_back(static_cast<int64_t>(p.zCount) * plane);
-    }
-    for (const int64_t u : plan.unitsPerDev) {
-        newCells.push_back(u * plane);
-    }
-
-    std::vector<int32_t> counts;
-    for (const int64_t u : plan.unitsPerDev) {
-        counts.push_back(static_cast<int32_t>(u));
-    }
-    rebuildTables(impl, counts);
-
-    const int          r = impl.haloRadius;
-    domain::RegridInfo info;
-    for (int d = 0; d < nDev; ++d) {
-        info.newCellCounts.push_back(
-            static_cast<size_t>((plan.unitsPerDev[static_cast<size_t>(d)] + 2 * r) * plane));
-        info.oldOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-        info.newOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    repartitionWith(*this, plan);
 }
 
 void DGrid::rebindBackend(set::Backend survivor)
 {
-    auto&     impl = this->impl<Impl>();
-    const int nDev = survivor.devCount();
-    impl.backend = std::move(survivor);
-    const auto counts = splitBalanced(dim().z, nDev);
-    rebuildTables(impl, counts);
-
-    const auto         plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
-    const int          r = impl.haloRadius;
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (int d = 0; d < nDev; ++d) {
-        info.newCellCounts.push_back(
-            static_cast<size_t>((static_cast<int64_t>(counts[static_cast<size_t>(d)]) + 2 * r) *
-                                plane));
-        info.oldOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-        info.newOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    const auto counts = splitBalanced(dim().z, survivor.devCount());
+    rebindWith(*this, std::move(survivor), counts);
 }
 
 DSpan DGrid::span(int dev, DataView view) const

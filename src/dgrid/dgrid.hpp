@@ -132,6 +132,8 @@ class DGrid : public domain::GridBase, public domain::GridOps<DGrid>
     void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridBase;
+
     struct Impl : domain::GridBase::BaseImpl
     {
         std::vector<PartInfo> parts;
@@ -139,7 +141,11 @@ class DGrid : public domain::GridBase, public domain::GridOps<DGrid>
         std::vector<int32_t> zToDev;
     };
 
-    static void rebuildTables(Impl& impl, const std::vector<int32_t>& counts);
+    /// (Re)build slabs, the z LUT and halo segments for `counts` owned
+    /// planes per device.
+    void rebuildForCuts(const std::vector<int32_t>& counts);
+    /// Per-device owned/buffer cells (owned planes sit after r halo planes).
+    [[nodiscard]] std::vector<PartCells> partCells() const;
 };
 
 /// Balanced 1-D decomposition of `total` planes over `nDev` devices.

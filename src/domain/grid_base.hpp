@@ -7,17 +7,23 @@
 //     lists — behind one shared_ptr. A concrete grid derives its Impl from
 //     GridBase::BaseImpl (single allocation, accessed via impl<Derived>())
 //     and adds only its partition-specific tables.
+//   - GridBase also owns the one repartition / rebind routine
+//     (repartitionWith / rebindWith): plan checks, migration geometry and
+//     field re-homing are shared, and a grid supplies only how to rebuild
+//     its tables for given unit cuts and what its per-device buffers are.
 //   - GridOps<Derived> is a CRTP mixin providing the factory surface
 //     (newField / newContainer) so every grid exposes the identical API
 //     and every freshly built field type is checked against FieldConcept
 //     at compile time.
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/index3d.hpp"
 #include "core/stencil.hpp"
 #include "core/types.hpp"
@@ -80,6 +86,53 @@ class GridBase
     }
 
    protected:
+    /// One device's partition in cell units, as repartition sees it.
+    struct PartCells
+    {
+        int64_t owned = 0;       ///< owned cells, in the grid's global cell ordering
+        size_t  local = 0;       ///< buffer size: owned + halo/ghost cells
+        int64_t ownedStart = 0;  ///< offset of the owned window in the buffer
+    };
+
+    /// Body of Grid::repartition(plan). `Grid` provides two hooks:
+    ///   void rebuildForCuts(const std::vector<int32_t>& unitsPerDev);
+    ///   std::vector<PartCells> partCells() const;
+    /// plus the public partitionUnits() / minUnitsPerDev(). The plan is
+    /// checked before anything changes; then the tables are re-sliced and
+    /// every registered field migrates its owned cells.
+    template <typename Grid>
+    void repartitionWith(Grid& grid, const PartitionPlan& plan)
+    {
+        const std::string where = gridName() + "::repartition: ";
+        NEON_CHECK(plan.devCount() == devCount(),
+                   where + "plan device count != grid device count");
+        NEON_CHECK(plan.total() == grid.partitionUnits(),
+                   where + "plan must cover every partition unit");
+        const int64_t minUnits = grid.minUnitsPerDev();
+        for (const int64_t u : plan.unitsPerDev) {
+            NEON_CHECK(u >= minUnits, where + "every device needs at least " +
+                                          std::to_string(minUnits) + " partition units");
+        }
+        const std::vector<PartCells> before = grid.partCells();
+        std::vector<int32_t>         cuts;
+        for (const int64_t u : plan.unitsPerDev) {
+            cuts.push_back(static_cast<int32_t>(u));
+        }
+        grid.rebuildForCuts(cuts);
+        regridFields(grid.partCells(), &before);
+    }
+
+    /// Body of Grid::rebindBackend(survivor): move onto `survivor`, rebuild
+    /// for `cuts` (the grid's own default split for the survivor's device
+    /// count) and re-allocate every field without migrating data.
+    template <typename Grid>
+    void rebindWith(Grid& grid, set::Backend survivor, const std::vector<int32_t>& cuts)
+    {
+        mBase->backend = std::move(survivor);
+        grid.rebuildForCuts(cuts);
+        regridFields(grid.partCells(), nullptr);
+    }
+
     /// Shared slice of a grid's Impl; concrete grids derive from it.
     struct BaseImpl
     {
@@ -111,6 +164,35 @@ class GridBase
     }
 
     std::shared_ptr<BaseImpl> mBase;
+
+   private:
+    /// Hand the new geometry to every field and bump the geometry epoch.
+    /// `before` is the old geometry to migrate from; null re-allocates
+    /// without migration (recovery: the old buffers are gone).
+    void regridFields(const std::vector<PartCells>& after,
+                      const std::vector<PartCells>* before) const
+    {
+        RegridInfo           info;
+        std::vector<int64_t> newOwned;
+        for (const PartCells& p : after) {
+            newOwned.push_back(p.owned);
+            info.newCellCounts.push_back(p.local);
+            info.newOwnedStart.push_back(p.ownedStart);
+        }
+        info.migrateData = before != nullptr;
+        if (before != nullptr) {
+            std::vector<int64_t> oldOwned;
+            for (const PartCells& p : *before) {
+                oldOwned.push_back(p.owned);
+                info.oldOwnedStart.push_back(p.ownedStart);
+            }
+            info.migrate = migrationSegments(oldOwned, newOwned);
+        } else {
+            info.oldOwnedStart = info.newOwnedStart;
+        }
+        applyRegridToFields(info);
+        backend().noteGeometryChange();
+    }
 };
 
 /// CRTP factory surface. `Derived` must expose `template FieldType<T>`

@@ -71,28 +71,22 @@ EGrid::EGrid(set::Backend backend, index_3d dim,
     }
 
     mBase = std::move(impl);
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    computeCuts(devCount(), zFirst, zCount);
-    rebuildStructure(zFirst, zCount);
+    rebuildForCuts(computeCuts(devCount()));
 }
 
-void EGrid::computeCuts(int nDev, std::vector<int32_t>& zFirst,
-                        std::vector<int32_t>& zCount) const
+std::vector<int32_t> EGrid::computeCuts(int nDev) const
 {
     // Partition planes so active-cell counts are balanced (paper §IV:
     // "optimized for load balance"). Greedy cut at ~total/nDev.
     const Impl&    g = impl<Impl>();
     const index_3d dim = g.dim;
     const int      r = g.haloRadius;
-    zFirst.assign(static_cast<size_t>(nDev), 0);
-    zCount.assign(static_cast<size_t>(nDev), 0);
+    std::vector<int32_t> zCount(static_cast<size_t>(nDev), 0);
     NEON_CHECK(dim.z >= nDev * std::max(1, 2 * r),
                "egrid needs at least 2*haloRadius planes per device");
     const double target = static_cast<double>(g.totalActive) / nDev;
     int32_t      plane = 0;
     for (int d = 0; d < nDev; ++d) {
-        zFirst[static_cast<size_t>(d)] = plane;
         size_t        acc = 0;
         const int32_t planesLeft = dim.z - plane;
         const int     devsLeft = nDev - d;
@@ -111,10 +105,10 @@ void EGrid::computeCuts(int nDev, std::vector<int32_t>& zFirst,
         }
         zCount[static_cast<size_t>(d)] = used;
     }
+    return zCount;
 }
 
-void EGrid::rebuildStructure(const std::vector<int32_t>& zFirst,
-                             const std::vector<int32_t>& zCount)
+void EGrid::rebuildForCuts(const std::vector<int32_t>& zCount)
 {
     Impl&          g = impl<Impl>();
     const index_3d dim = g.dim;
@@ -132,10 +126,12 @@ void EGrid::rebuildStructure(const std::vector<int32_t>& zFirst,
         }
         return static_cast<int32_t>(s);
     };
+    int32_t zFirst = 0;
     for (int d = 0; d < nDev; ++d) {
         PartInfo& p = g.parts[static_cast<size_t>(d)];
-        p.zFirst = zFirst[static_cast<size_t>(d)];
+        p.zFirst = zFirst;
         p.zCount = zCount[static_cast<size_t>(d)];
+        zFirst += p.zCount;
         p.nOwned = planesSum(p.zFirst, p.zCount);
         p.nBdrLow = d > 0 ? planesSum(p.zFirst, std::min(r, p.zCount)) : 0;
         p.nBdrHigh =
@@ -306,69 +302,24 @@ int64_t EGrid::minUnitsPerDev() const
     return std::max(1, 2 * haloRadius());
 }
 
+std::vector<domain::GridBase::PartCells> EGrid::partCells() const
+{
+    std::vector<PartCells> cells;
+    for (const PartInfo& p : impl<Impl>().parts) {
+        cells.push_back({p.nOwned, static_cast<size_t>(p.nLocal()), 0});
+    }
+    return cells;
+}
+
 void EGrid::repartition(const domain::PartitionPlan& plan)
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "eGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == dim().z, "eGrid::repartition: plan must cover every z-plane");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "eGrid::repartition: every device needs at least 2*haloRadius planes");
-    }
-
-    // Owned cells per device before/after, in the shared global ordering
-    // (active cells ascending (z,y,x) — the class ranges are consecutive
-    // z-intervals, so the owned enumeration is exactly that order).
-    std::vector<int64_t> oldCells;
-    for (const PartInfo& p : g.parts) {
-        oldCells.push_back(p.nOwned);
-    }
-
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    int32_t              plane = 0;
-    for (const int64_t u : plan.unitsPerDev) {
-        zFirst.push_back(plane);
-        zCount.push_back(static_cast<int32_t>(u));
-        plane += static_cast<int32_t>(u);
-    }
-    rebuildStructure(zFirst, zCount);
-
-    domain::RegridInfo   info;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : g.parts) {
-        newCells.push_back(p.nOwned);
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    repartitionWith(*this, plan);
 }
 
 void EGrid::rebindBackend(set::Backend survivor)
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = survivor.devCount();
-    g.backend = std::move(survivor);
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    computeCuts(nDev, zFirst, zCount);
-    rebuildStructure(zFirst, zCount);
-
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (const PartInfo& p : g.parts) {
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    const auto counts = computeCuts(survivor.devCount());
+    rebindWith(*this, std::move(survivor), counts);
 }
 
 ESpan EGrid::span(int dev, DataView view) const

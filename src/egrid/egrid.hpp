@@ -133,12 +133,16 @@ class EGrid : public domain::GridBase, public domain::GridOps<EGrid>
     void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridBase;
+
     struct Impl;
-    /// Greedy active-balanced plane cuts for `nDev` devices (ctor + rebind).
-    void computeCuts(int nDev, std::vector<int32_t>& zFirst, std::vector<int32_t>& zCount) const;
+    /// Greedy active-balanced plane counts for `nDev` devices (ctor + rebind).
+    [[nodiscard]] std::vector<int32_t> computeCuts(int nDev) const;
     /// (Re)build parts, halo segments, structure tables and the host map
-    /// from prescribed plane cuts.
-    void rebuildStructure(const std::vector<int32_t>& zFirst, const std::vector<int32_t>& zCount);
+    /// for `zCount` owned planes per device.
+    void rebuildForCuts(const std::vector<int32_t>& zCount);
+    /// Per-device owned/buffer cells (owned cells first, then ghosts).
+    [[nodiscard]] std::vector<PartCells> partCells() const;
 };
 
 }  // namespace neon::egrid

@@ -55,7 +55,3 @@
 
 #include "solver/cg.hpp"
 #include "solver/jacobi.hpp"
-
-#include "service/job.hpp"
-#include "service/service.hpp"
-#include "service/traffic.hpp"

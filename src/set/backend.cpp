@@ -173,9 +173,6 @@ struct Backend::Impl
     mutable std::vector<std::vector<std::unique_ptr<sys::Stream>>> streams;
     // Per-uid inter-run event chains (see sys/data_barriers.hpp).
     mutable sys::DataBarriers dataBarriers;
-    // Stream-index leases: sorted disjoint [base, base+count) blocks.
-    mutable std::mutex                       leaseMutex;
-    mutable std::vector<std::pair<int, int>> leases;
     // Partition-geometry epoch (see Backend::geometryEpoch).
     mutable std::atomic<uint64_t> geometryEpoch{0};
 
@@ -345,37 +342,6 @@ sys::FaultInjector& Backend::faults() const
 sys::DataBarriers& Backend::dataBarriers() const
 {
     return mImpl->dataBarriers;
-}
-
-int Backend::leaseStreams(int count) const
-{
-    NEON_CHECK(count >= 1, "Backend::leaseStreams: count must be >= 1");
-    std::lock_guard<std::mutex> lock(mImpl->leaseMutex);
-    auto& leases = mImpl->leases;
-    int   base = 0;
-    for (size_t i = 0;; ++i) {
-        const bool atEnd = i >= leases.size();
-        const int  nextBase = atEnd ? base + count : leases[i].first;
-        if (nextBase - base >= count) {
-            leases.insert(leases.begin() + static_cast<std::ptrdiff_t>(i), {base, count});
-            return base;
-        }
-        base = leases[i].first + leases[i].second;
-    }
-}
-
-void Backend::releaseStreams(int base, int count) const
-{
-    std::lock_guard<std::mutex> lock(mImpl->leaseMutex);
-    auto& leases = mImpl->leases;
-    for (size_t i = 0; i < leases.size(); ++i) {
-        if (leases[i].first == base && leases[i].second == count) {
-            leases.erase(leases.begin() + static_cast<std::ptrdiff_t>(i));
-            return;
-        }
-    }
-    throw NeonException("Backend::releaseStreams: no lease [" + std::to_string(base) + ", " +
-                        std::to_string(base + count) + ") is outstanding");
 }
 
 double Backend::makespanNow() const

@@ -142,18 +142,9 @@ class Backend
     /// that touch the same fields are ordered through these chains
     /// regardless of which Skeleton object issued them (e.g. even/odd LBM
     /// steps), while runs over disjoint field sets share no events and
-    /// overlap freely — the basis of the multi-tenant service
-    /// (docs/service.md). Replaces the historical single backend-wide
-    /// run barrier.
+    /// overlap freely. Replaces the historical single backend-wide run
+    /// barrier.
     [[nodiscard]] sys::DataBarriers& dataBarriers() const;
-
-    /// Lease a contiguous block of `count` stream indices (first-fit over
-    /// released blocks) so concurrent jobs enqueue onto disjoint streams.
-    /// Returns the base index; pass it as RunScope::streamBase.
-    [[nodiscard]] int leaseStreams(int count) const;
-    /// Return a lease obtained from leaseStreams (the stream objects
-    /// themselves persist — only the reservation is released).
-    void releaseStreams(int base, int count) const;
 
     /// Zero all virtual clocks (between measured benchmark runs).
     void resetClocks() const;

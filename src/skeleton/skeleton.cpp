@@ -516,8 +516,6 @@ struct Skeleton::Impl
     /// barrier instead of the backend's per-uid data chains.
     bool          perSkeletonBarrier = false;
     sys::EventPtr localBarrier;
-    /// Tail barrier of the most recent run issued through this skeleton.
-    sys::EventPtr lastTail;
 };
 
 struct CompiledSchedule::Impl
@@ -656,15 +654,6 @@ CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers,
     return handle;
 }
 
-CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers, std::string name,
-                                    Options options)
-{
-    return sequence(std::move(containers), SequenceOptions()
-                                               .withName(std::move(name))
-                                               .withOcc(options.occ)
-                                               .withMaxStreams(options.maxStreams));
-}
-
 analysis::AnalysisReport Skeleton::validate() const
 {
     const Impl& s = *mImpl;
@@ -733,14 +722,8 @@ void Skeleton::debugUsePerSkeletonBarrier(bool on)
 
 void Skeleton::run()
 {
-    run(RunScope{});
-}
-
-void Skeleton::run(const RunScope& scope)
-{
     Impl& s = *mImpl;
     NEON_CHECK(s.state != nullptr, "Skeleton::sequence must be called before run()");
-    NEON_CHECK(scope.streamBase >= 0, "Skeleton::run: streamBase must be non-negative");
     NEON_CHECK(s.state->geomEpoch == s.backend.geometryEpoch(),
                "Skeleton::run: partition geometry changed since sequence() (epoch " +
                    std::to_string(s.state->geomEpoch) + " -> " +
@@ -758,7 +741,7 @@ void Skeleton::run(const RunScope& scope)
         s.windowClosed = false;
     }
     s.windowLast = runId;
-    trace.setContext({-1, runId, scope.jobId});
+    trace.setContext({-1, runId});
 
     // While the schedule log records, attribute this run's ops to the graph
     // that issued them so the race detector can attach read/write sets.
@@ -771,19 +754,14 @@ void Skeleton::run(const RunScope& scope)
     }
 
     try {
-        runBody(runId, scope);
+        runBody(runId);
     } catch (const RuntimeError& e) {
         s.windowClosed = true;
         rethrowEnriched(s.backend, s.state->graph, e);
     }
 }
 
-sys::EventPtr Skeleton::lastRunTail() const
-{
-    return mImpl->lastTail;
-}
-
-void Skeleton::runBody(int runId, const RunScope& scope)
+void Skeleton::runBody(int runId)
 {
     Impl& s = *mImpl;
     // Pin the state: a container-launched host function could in principle
@@ -799,33 +777,18 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     const bool attributing =
         trace.enabled() || engine.scheduleLog().enabled() || engine.faults().active();
 
-    // Leased runs resolve their stream block here instead of using the
-    // base-0 pointers prefetched at sequence() time; the extra mutex hops
-    // only hit the service dispatch path.
-    std::vector<sys::Stream*> leasedStreams;
-    if (scope.streamBase != 0) {
-        leasedStreams.resize(static_cast<size_t>(nDev) * static_cast<size_t>(st.nStreams));
-        for (int d = 0; d < nDev; ++d) {
-            for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
-                leasedStreams[static_cast<size_t>(d * st.nStreams + stIdx)] =
-                    &s.backend.stream(d, scope.streamBase + stIdx);
-            }
-        }
-    }
-    const std::vector<sys::Stream*>& streamTab =
-        scope.streamBase != 0 ? leasedStreams : st.streams;
+    // Stream pointers were prefetched at sequence() time.
     auto streamAt = [&](int d, int idx) -> sys::Stream& {
-        return *streamTab[static_cast<size_t>(d * st.nStreams + idx)];
+        return *st.streams[static_cast<size_t>(d * st.nStreams + idx)];
     };
 
     // Inter-run ordering: successive runs touching the same data objects
     // chain through the backend's per-uid event tails (writers wait the
     // last write and every read since it; readers wait the last write).
-    // Runs over disjoint uid sets share no events and overlap freely —
-    // that is what lets independent service jobs fill each other's
-    // transfer gaps. The chains live on the *backend*, not this skeleton:
-    // alternating skeletons (e.g. the even/odd steps of a ping-pong LBM)
-    // are chained too.
+    // Runs over disjoint uid sets share no events and overlap freely. The
+    // chains live on the *backend*, not this skeleton: alternating
+    // skeletons (e.g. the even/odd steps of a ping-pong LBM) are chained
+    // too.
     if (s.perSkeletonBarrier) {
         // Test hook: the historical per-skeleton barrier (misses the
         // cross-skeleton chain; the race detector must catch that).
@@ -839,13 +802,12 @@ void Skeleton::runBody(int runId, const RunScope& scope)
                 }
             }
         }
-    } else if (scope.chainData) {
+    } else {
         const std::vector<sys::EventPtr> deps =
             s.backend.dataBarriers().acquire(st.readUids, st.writeUids);
         for (const sys::EventPtr& dep : deps) {
             // Every stream of this run waits: the dep may have been
-            // recorded on any stream of any previous run (no FIFO shortcut
-            // is safe across leases).
+            // recorded on any stream of any previous run, by any skeleton.
             for (int d = 0; d < nDev; ++d) {
                 for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
                     streamAt(d, stIdx).wait(dep);
@@ -866,7 +828,7 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     for (const Task& t : st.tasks) {
         const GraphNode& n = st.graph.node(t.nodeId);
         if (attributing) {
-            trace.setContext({t.nodeId, runId, scope.jobId});
+            trace.setContext({t.nodeId, runId});
         }
         for (int d = 0; d < nDev; ++d) {
             sys::Stream& stream = streamAt(d, t.stream);
@@ -900,11 +862,11 @@ void Skeleton::runBody(int runId, const RunScope& scope)
         }
     }
 
-    // Record the tail barrier: the run's stream (0, base) gathers every
+    // Record the tail barrier: the run's stream (0, 0) gathers every
     // other stream's tail event and records one barrier whose virtual
     // timestamp is the run's completion time.
     if (attributing) {
-        trace.setContext({-1, runId, scope.jobId});
+        trace.setContext({-1, runId});
     }
     set::EventSet tails = set::EventSet::make(nDev * st.nStreams);
     for (int d = 0; d < nDev; ++d) {
@@ -921,10 +883,9 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     streamAt(0, 0).record(barrier);
     if (s.perSkeletonBarrier) {
         s.localBarrier = barrier;
-    } else if (scope.chainData) {
+    } else {
         s.backend.dataBarriers().publish(st.readUids, st.writeUids, barrier);
     }
-    s.lastTail = std::move(barrier);
     trace.clearContext();
 }
 
@@ -1064,16 +1025,11 @@ const std::vector<Task>& CompiledSchedule::taskList() const
 
 void CompiledSchedule::run()
 {
-    run(RunScope{});
-}
-
-void CompiledSchedule::run(const RunScope& scope)
-{
     NEON_CHECK(mImpl != nullptr, "CompiledSchedule: empty handle (default-constructed)");
     NEON_CHECK(current(),
                "CompiledSchedule::run: superseded by a later sequence()/mutation on the "
                "owning skeleton");
-    mImpl->skeleton.run(scope);
+    mImpl->skeleton.run();
 }
 
 void CompiledSchedule::sync()

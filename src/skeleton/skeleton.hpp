@@ -32,31 +32,6 @@
 
 namespace neon::skeleton {
 
-/// Legacy scheduling options for the two-argument sequence() overload.
-/// New code should pass SequenceOptions instead:
-///
-///   skl.sequence(ops, SequenceOptions().withName("cg").withOcc(Occ::STANDARD));
-struct Options
-{
-    Occ occ = Occ::NONE;
-    /// Cap on concurrent streams per device (level width beyond this wraps).
-    int maxStreams = 8;
-
-    Options() = default;
-
-    Options& withOcc(Occ o)
-    {
-        occ = o;
-        return *this;
-    }
-    Options& withMaxStreams(int n)
-    {
-        NEON_CHECK(n >= 1, "Options: maxStreams must be >= 1");
-        maxStreams = n;
-        return *this;
-    }
-};
-
 /// Everything sequence() takes besides the containers, configured fluently:
 ///
 ///   SequenceOptions().withName("jacobi").withOcc(Occ::EXTENDED).withMaxStreams(4)
@@ -116,25 +91,6 @@ enum class ValidateMode : uint8_t
     Deep,
 };
 
-/// Per-run execution scope: where a run's streams live and which service
-/// job it belongs to. Default-constructed == the classic single-tenant
-/// behavior (streams 0..N-1, no job attribution, data-chained).
-struct RunScope
-{
-    /// First backend stream index the run enqueues on; task stream s maps
-    /// to backend stream streamBase + s. Obtain disjoint bases for
-    /// concurrent jobs via Backend::leaseStreams.
-    int streamBase = 0;
-    /// neon::service job id stamped into trace entries and RuntimeErrors
-    /// (-1 outside a service).
-    int jobId = -1;
-    /// Order this run against earlier runs touching the same data objects
-    /// through Backend::dataBarriers(), and publish its tail for later
-    /// runs. Disable only in race-detector tests that want the unordered
-    /// behavior on purpose.
-    bool chainData = true;
-};
-
 /// Handle onto one compiled schedule: the value sequence() returns. It
 /// snapshots the (graph, task list, stream count) the compilation produced
 /// plus its cache provenance, and can re-run, lint and describe that exact
@@ -167,9 +123,6 @@ class CompiledSchedule
 
     /// Enqueue one execution (throws NeonException if superseded).
     void run();
-    /// Enqueue one execution under an explicit scope (leased streams / job
-    /// attribution — the neon::service dispatch path).
-    void run(const RunScope& scope);
     /// Block until every enqueued run completed (delegates to the skeleton).
     void sync();
 
@@ -194,25 +147,12 @@ class Skeleton
     /// CompiledSchedule handle over the (possibly cache-replayed) schedule.
     CompiledSchedule sequence(std::vector<set::Container> containers, SequenceOptions options = {});
 
-    /// Legacy overload (name + Options); delegates to the SequenceOptions
-    /// form. Kept source-compatible for one release.
-    CompiledSchedule sequence(std::vector<set::Container> containers, std::string name,
-                              Options options = {});
-
     /// Enqueue one execution of the scheduled task list (asynchronous).
     /// Under fault injection a RuntimeError aborts the run cleanly: the
     /// engine is quiesced, the error is rethrown enriched with the graph
     /// node's label and the last consistently completed run, and fields
     /// hold exactly the writes of completed runs (docs/robustness.md).
     void run();
-    /// run() under an explicit scope: leased stream base, service job
-    /// attribution, optional opt-out of inter-run data chaining.
-    void run(const RunScope& scope);
-
-    /// Tail event of the most recent run() issued through this skeleton:
-    /// recorded after every stream of that run drained, so its virtual
-    /// timestamp is the run's completion time (null before the first run).
-    [[nodiscard]] sys::EventPtr lastRunTail() const;
 
     /// Block the host until every enqueued run completed. Rethrows a
     /// pending RuntimeError with the same enrichment as run().
@@ -269,7 +209,7 @@ class Skeleton
    private:
     friend class CompiledSchedule;
     struct ScheduleState;
-    void runBody(int runId, const RunScope& scope);
+    void runBody(int runId);
 
     struct Impl;
     std::shared_ptr<Impl> mImpl;

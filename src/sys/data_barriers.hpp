@@ -7,10 +7,9 @@
 // it must wait on (readers wait the last write; writers additionally
 // wait all intervening reads), and publishes its own tail event when its
 // work is enqueued. Runs over disjoint uid sets share no events and
-// therefore overlap freely on the device pool — the property the
-// multi-tenant service (neon::service) is built on — while ping-pong
-// chains over shared fields keep exactly the ordering the old global
-// barrier provided.
+// therefore overlap freely on the device pool, while ping-pong chains over
+// shared fields — even when issued through different Skeletons — keep
+// exactly the ordering the old global barrier provided.
 
 #include <cstdint>
 #include <mutex>

@@ -16,15 +16,13 @@
 
 namespace neon::sys {
 
-/// Trace attribution carried by work ops: which skeleton graph node,
-/// which run() window and which service job enqueued the op. Stamped by
-/// Stream::enqueue from the engine trace's current context
-/// (sys/trace.hpp); -1 outside a skeleton / outside a service job.
+/// Trace attribution carried by work ops: which skeleton graph node and
+/// which run() window enqueued the op. Stamped by Stream::enqueue from the
+/// engine trace's current context (sys/trace.hpp); -1 outside a skeleton.
 struct OpAttribution
 {
     int containerId = -1;
     int runId = -1;
-    int jobId = -1;
 };
 
 /// Devirtualized kernel payload: the container factory pre-splits the
@@ -45,17 +43,15 @@ struct KernelWork
     [[nodiscard]] explicit operator bool() const { return run != nullptr; }
 };
 
-/// A device kernel: `work` (preferred) or `body` (legacy std::function path
-/// kept for Stream::kernel users) performs the real computation on host
-/// devices; the simulated duration comes from `items` and `hint`.
+/// A device kernel: `work` performs the real computation on host devices;
+/// the simulated duration comes from `items` and `hint`.
 struct KernelOp
 {
-    std::string           name;
-    size_t                items = 0;
-    KernelCostHint        hint;
-    KernelWork            work;
-    std::function<void()> body;
-    OpAttribution         attr;
+    std::string    name;
+    size_t         items = 0;
+    KernelCostHint hint;
+    KernelWork     work;
+    OpAttribution  attr;
 };
 
 /// One contiguous device-to-device copy; `direction` selects the DMA engine

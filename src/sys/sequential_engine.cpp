@@ -48,8 +48,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
                                                   k->attr, "kernel", k->name);
             if (d.stallSeconds > 0.0) {
                 mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + k->name, start,
-                            start + d.stallSeconds, 0, k->attr.containerId, k->attr.runId,
-                            k->attr.jobId);
+                            start + d.stallSeconds, 0, k->attr.containerId, k->attr.runId);
                 start += d.stallSeconds;
             }
         }
@@ -63,7 +62,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
             runKernelWork(dev, stream.id(), *k, start);
         }
         mTrace.record(dev.id(), stream.id(), TraceKind::Kernel, k->name, start, end, 0,
-                    k->attr.containerId, k->attr.runId, k->attr.jobId);
+                    k->attr.containerId, k->attr.runId);
         return;
     }
     if (auto* t = std::get_if<TransferOp>(&op)) {
@@ -74,8 +73,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
                               t->name);
             if (d.stallSeconds > 0.0) {
                 mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + t->name, begin,
-                            begin + d.stallSeconds, 0, t->attr.containerId, t->attr.runId,
-                            t->attr.jobId);
+                            begin + d.stallSeconds, 0, t->attr.containerId, t->attr.runId);
                 begin += d.stallSeconds;
             }
         }
@@ -88,8 +86,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
             const double           backoff = retryBackoff(cfg, attempt);
             mTrace.record(dev.id(), stream.id(), TraceKind::Fault,
                         "retry#" + std::to_string(attempt) + ":" + t->name, cursor,
-                        bad.end + backoff, bad.totalBytes, t->attr.containerId, t->attr.runId,
-                        t->attr.jobId);
+                        bad.end + backoff, bad.totalBytes, t->attr.containerId, t->attr.runId);
             cursor = bad.end + backoff;
         }
         if (d.failedAttempts >= cfg.retry.maxAttempts) {
@@ -107,8 +104,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
                 chunk.copy();
             }
             mTrace.record(dev.id(), stream.id(), TraceKind::Transfer, t->name, plan.windows[i].start,
-                        plan.windows[i].end, chunk.bytes, t->attr.containerId, t->attr.runId,
-                        t->attr.jobId);
+                        plan.windows[i].end, chunk.bytes, t->attr.containerId, t->attr.runId);
         }
         st.vtime = end;
         return;
@@ -120,8 +116,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
                                                   h->attr, "hostFn", h->name);
             if (d.stallSeconds > 0.0) {
                 mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + h->name, start,
-                            start + d.stallSeconds, 0, h->attr.containerId, h->attr.runId,
-                            h->attr.jobId);
+                            start + d.stallSeconds, 0, h->attr.containerId, h->attr.runId);
                 start += d.stallSeconds;
             }
         }
@@ -134,7 +129,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
             h->fn();
         }
         mTrace.record(dev.id(), stream.id(), TraceKind::HostFn, h->name, start, end, 0,
-                    h->attr.containerId, h->attr.runId, h->attr.jobId);
+                    h->attr.containerId, h->attr.runId);
         return;
     }
     if (auto* r = std::get_if<RecordOp>(&op)) {
@@ -154,7 +149,7 @@ void SequentialEngine::enqueue(Stream& stream, Op op)
         const double evTime = w->event->vtime();
         if (evTime > st.vtime && mTrace.enabled()) {
             mTrace.record(dev.id(), stream.id(), TraceKind::Wait, "wait", st.vtime, evTime, 0,
-                        w->attr.containerId, w->attr.runId, w->attr.jobId, w->event->id(),
+                        w->attr.containerId, w->attr.runId, w->event->id(),
                         w->event->recordedDevice(), w->event->recordedStream());
         }
         st.vtime = std::max(st.vtime, evTime);

@@ -28,12 +28,12 @@ void Stream::enqueue(Op op)
     // a plan is active even if neither trace nor schedule log is on.
     if (trace.enabled() || logging || mEngine->faults().active()) {
         const TraceContext ctx = trace.context();
-        if (ctx.containerId >= 0 || ctx.runId >= 0 || ctx.jobId >= 0) {
+        if (ctx.containerId >= 0 || ctx.runId >= 0) {
             std::visit(
                 [&](auto& o) {
                     if constexpr (requires { o.attr; }) {
                         if (o.attr.containerId < 0) {
-                            o.attr = {ctx.containerId, ctx.runId, ctx.jobId};
+                            o.attr = {ctx.containerId, ctx.runId};
                         }
                     }
                 },
@@ -71,16 +71,6 @@ void Stream::enqueue(Op op)
         }
     }
     mEngine->enqueue(*this, std::move(op));
-}
-
-void Stream::kernel(std::string name, size_t items, KernelCostHint hint, std::function<void()> body)
-{
-    KernelOp op;
-    op.name = std::move(name);
-    op.items = items;
-    op.hint = hint;
-    op.body = std::move(body);
-    enqueue(std::move(op));
 }
 
 void Stream::transfer(TransferOp op)
@@ -131,8 +121,7 @@ void Engine::runKernelWork(const Device& dev, int streamId, const KernelOp& op, 
             for (const auto& s : samples) {
                 mTrace.record(dev.id(), streamId, TraceKind::HostPool, op.name, startV,
                               startV + s.busySeconds, static_cast<uint64_t>(s.chunks),
-                              op.attr.containerId, op.attr.runId, op.attr.jobId, 0, s.worker,
-                              streamId);
+                              op.attr.containerId, op.attr.runId, 0, s.worker, streamId);
             }
         } else if (usePool) {
             pool->parallelFor(op.work.chunks, op.work.run, op.work.ctx);
@@ -144,8 +133,6 @@ void Engine::runKernelWork(const Device& dev, int streamId, const KernelOp& op, 
         if (op.work.finalize != nullptr) {
             op.work.finalize(op.work.ctx, 0, op.work.chunks);
         }
-    } else if (op.body) {
-        op.body();
     }
 }
 
@@ -197,7 +184,6 @@ FaultDecision Engine::consultFaults(const Device& dev, int stream, ScheduleOpKin
         info.opName = opName;
         info.containerId = attr.containerId;
         info.runId = attr.runId;
-        info.jobId = attr.jobId;
         auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
         raiseAbort(error);
         std::rethrow_exception(error);
@@ -216,7 +202,6 @@ void Engine::throwOpTimeout(const Device& dev, int stream, const char* opKindNam
     info.opName = opName;
     info.containerId = attr.containerId;
     info.runId = attr.runId;
-    info.jobId = attr.jobId;
     info.timeout = limit;
     auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
     raiseAbort(error);
@@ -234,7 +219,6 @@ void Engine::throwTransferExhausted(const Device& dev, int stream, const std::st
     info.opName = opName;
     info.containerId = attr.containerId;
     info.runId = attr.runId;
-    info.jobId = attr.jobId;
     info.attempts = attempts;
     auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
     raiseAbort(error);
@@ -252,7 +236,6 @@ void Engine::throwSyncTimeout(int device, int stream, const char* opKindName,
     info.opName = opName;
     info.containerId = attr.containerId;
     info.runId = attr.runId;
-    info.jobId = attr.jobId;
     info.timeout = limit;
     auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
     raiseAbort(error);

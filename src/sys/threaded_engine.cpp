@@ -133,8 +133,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
                                                       k->attr, "kernel", k->name);
                 if (d.stallSeconds > 0.0) {
                     mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + k->name, start,
-                                start + d.stallSeconds, 0, k->attr.containerId, k->attr.runId,
-                                k->attr.jobId);
+                                start + d.stallSeconds, 0, k->attr.containerId, k->attr.runId);
                     start += d.stallSeconds;
                 }
             }
@@ -151,7 +150,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
             runKernelWork(dev, stream.id(), *k, start);
         }
         mTrace.record(dev.id(), stream.id(), TraceKind::Kernel, k->name, start, end, 0,
-                    k->attr.containerId, k->attr.runId, k->attr.jobId);
+                    k->attr.containerId, k->attr.runId);
         return;
     }
     if (auto* t = std::get_if<TransferOp>(&op)) {
@@ -166,8 +165,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
                                   "transfer", t->name);
                 if (d.stallSeconds > 0.0) {
                     mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + t->name, begin,
-                                begin + d.stallSeconds, 0, t->attr.containerId, t->attr.runId,
-                                t->attr.jobId);
+                                begin + d.stallSeconds, 0, t->attr.containerId, t->attr.runId);
                     begin += d.stallSeconds;
                 }
             }
@@ -181,7 +179,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
                 mTrace.record(dev.id(), stream.id(), TraceKind::Fault,
                             "retry#" + std::to_string(attempt) + ":" + t->name, cursor,
                             bad.end + backoff, bad.totalBytes, t->attr.containerId,
-                            t->attr.runId, t->attr.jobId);
+                            t->attr.runId);
                 cursor = bad.end + backoff;
             }
             if (d.failedAttempts >= cfg.retry.maxAttempts) {
@@ -206,7 +204,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
         for (size_t i = 0; i < t->chunks.size(); ++i) {
             mTrace.record(dev.id(), stream.id(), TraceKind::Transfer, t->name, plan.windows[i].start,
                         plan.windows[i].end, plan.windows[i].bytes, t->attr.containerId,
-                        t->attr.runId, t->attr.jobId);
+                        t->attr.runId);
         }
         return;
     }
@@ -222,8 +220,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
                                                       h->attr, "hostFn", h->name);
                 if (d.stallSeconds > 0.0) {
                     mTrace.record(dev.id(), stream.id(), TraceKind::Fault, "stall:" + h->name, start,
-                                start + d.stallSeconds, 0, h->attr.containerId, h->attr.runId,
-                                h->attr.jobId);
+                                start + d.stallSeconds, 0, h->attr.containerId, h->attr.runId);
                     start += d.stallSeconds;
                 }
             }
@@ -237,7 +234,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
             h->fn();
         }
         mTrace.record(dev.id(), stream.id(), TraceKind::HostFn, h->name, start, end, 0,
-                    h->attr.containerId, h->attr.runId, h->attr.jobId);
+                    h->attr.containerId, h->attr.runId);
         return;
     }
     if (auto* r = std::get_if<RecordOp>(&op)) {
@@ -280,7 +277,7 @@ void ThreadedEngine::process(Stream& stream, State& state, Op& op)
         }
         if (evTime > before && mTrace.enabled()) {
             mTrace.record(dev.id(), stream.id(), TraceKind::Wait, "wait", before, evTime, 0,
-                        w->attr.containerId, w->attr.runId, w->attr.jobId, w->event->id(),
+                        w->attr.containerId, w->attr.runId, w->event->id(),
                         w->event->recordedDevice(), w->event->recordedStream());
         }
         return;

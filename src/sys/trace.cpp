@@ -98,7 +98,6 @@ void Trace::Store::reserveMore(size_t extra)
     bytes.reserve(cap);
     containerId.reserve(cap);
     runId.reserve(cap);
-    jobId.reserve(cap);
     waitEventId.reserve(cap);
     srcDevice.reserve(cap);
     srcStream.reserve(cap);
@@ -115,7 +114,6 @@ void Trace::Store::clear()
     bytes.clear();
     containerId.clear();
     runId.clear();
-    jobId.clear();
     waitEventId.clear();
     srcDevice.clear();
     srcStream.clear();
@@ -141,7 +139,7 @@ uint32_t Trace::internName(std::string_view name)
 }
 
 void Trace::record(int device, int stream, TraceKind kind, std::string_view name, double startV,
-                   double endV, uint64_t bytes, int containerId, int runId, int jobId,
+                   double endV, uint64_t bytes, int containerId, int runId,
                    uint64_t waitEventId, int srcDevice, int srcStream)
 {
     if (!enabled()) {
@@ -158,7 +156,6 @@ void Trace::record(int device, int stream, TraceKind kind, std::string_view name
     mStore.bytes.push_back(bytes);
     mStore.containerId.push_back(containerId);
     mStore.runId.push_back(runId);
-    mStore.jobId.push_back(jobId);
     mStore.waitEventId.push_back(waitEventId);
     mStore.srcDevice.push_back(srcDevice);
     mStore.srcStream.push_back(srcStream);
@@ -167,7 +164,7 @@ void Trace::record(int device, int stream, TraceKind kind, std::string_view name
 void Trace::add(const TraceEntry& entry)
 {
     record(entry.device, entry.stream, kindFromString(entry.kind), entry.name, entry.startV,
-           entry.endV, entry.bytes, entry.containerId, entry.runId, entry.jobId,
+           entry.endV, entry.bytes, entry.containerId, entry.runId,
            entry.waitEventId, entry.srcDevice, entry.srcStream);
 }
 
@@ -204,7 +201,6 @@ TraceEntry Trace::materialize(size_t i) const
     e.bytes = mStore.bytes[i];
     e.containerId = mStore.containerId[i];
     e.runId = mStore.runId[i];
-    e.jobId = mStore.jobId[i];
     e.waitEventId = mStore.waitEventId[i];
     e.srcDevice = mStore.srcDevice[i];
     e.srcStream = mStore.srcStream[i];
@@ -228,18 +224,6 @@ std::vector<TraceEntry> Trace::entriesForRuns(int firstRunId, int lastRunId) con
     std::vector<TraceEntry>     out;
     for (size_t i = 0; i < mStore.size(); ++i) {
         if (mStore.runId[i] >= firstRunId && mStore.runId[i] <= lastRunId) {
-            out.push_back(materialize(i));
-        }
-    }
-    return out;
-}
-
-std::vector<TraceEntry> Trace::entriesForJob(int jobId) const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<TraceEntry>     out;
-    for (size_t i = 0; i < mStore.size(); ++i) {
-        if (mStore.jobId[i] == jobId) {
             out.push_back(materialize(i));
         }
     }
@@ -372,9 +356,6 @@ std::string Trace::chromeTrace() const
            << ",\"tid\":" << tidOf(e) << ",\"ts\":" << usFmt(e.startV)
            << ",\"dur\":" << usFmt(std::max(0.0, e.endV - e.startV)) << ",\"args\":{";
         ev << "\"container\":" << e.containerId << ",\"run\":" << e.runId;
-        if (e.jobId >= 0) {
-            ev << ",\"job\":" << e.jobId;
-        }
         if (e.kind == "hostPool") {
             ev << ",\"worker\":" << e.srcDevice << ",\"chunks\":" << e.bytes;
         } else if (e.bytes > 0) {

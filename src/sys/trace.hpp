@@ -49,20 +49,18 @@ struct TraceEntry
     uint64_t bytes = 0;        ///< transfer payload; "hostPool": chunks executed
     int      containerId = -1; ///< skeleton graph-node id, -1 outside a skeleton
     int      runId = -1;       ///< skeleton run() window id, -1 outside a skeleton
-    int      jobId = -1;       ///< neon::service job id, -1 outside a service job
     uint64_t waitEventId = 0;  ///< kind == "wait": id of the awaited event
     int      srcDevice = -1;   ///< "wait": recording device; "hostPool": worker slot
     int      srcStream = -1;
 };
 
 /// Attribution stamped onto ops at enqueue time (set by the Skeleton around
-/// each task) so engine-side trace entries can name their graph node, run
-/// and owning service job.
+/// each task) so engine-side trace entries can name their graph node and
+/// run.
 struct TraceContext
 {
     int containerId = -1;
     int runId = -1;
-    int jobId = -1;
 };
 
 class Trace
@@ -75,7 +73,7 @@ class Trace
     /// (repeated kernel/transfer names share one stored string).
     void record(int device, int stream, TraceKind kind, std::string_view name, double startV,
                 double endV, uint64_t bytes = 0, int containerId = -1, int runId = -1,
-                int jobId = -1, uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
+                uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
 
     /// Compatibility shim over record(): accepts a materialized entry (the
     /// kind string must be one of the five to_string(TraceKind) spellings).
@@ -90,8 +88,6 @@ class Trace
     [[nodiscard]] std::vector<TraceEntry> entries() const;
     /// Entries whose runId lies in [firstRunId, lastRunId].
     [[nodiscard]] std::vector<TraceEntry> entriesForRuns(int firstRunId, int lastRunId) const;
-    /// Entries attributed to one neon::service job.
-    [[nodiscard]] std::vector<TraceEntry> entriesForJob(int jobId) const;
 
     // --- attribution ------------------------------------------------------
     void setContext(TraceContext ctx);
@@ -123,7 +119,6 @@ class Trace
         std::vector<uint64_t> bytes;
         std::vector<int32_t>  containerId;
         std::vector<int32_t>  runId;
-        std::vector<int32_t>  jobId;
         std::vector<uint64_t> waitEventId;
         std::vector<int32_t>  srcDevice;
         std::vector<int32_t>  srcStream;

@@ -22,7 +22,7 @@ TEST(DeadNodes, KillNodeResetsSchedulingState)
         rig.stencil("sten", rig.f0, rig.f1),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "dead");
+    skl.sequence(seq, skeleton::SequenceOptions().withName("dead"));
     const int halo = findHaloNode(skl.graph());
     ASSERT_GE(halo, 0);
     ASSERT_GE(skl.graph().node(halo).level, 0) << "halo node must have been scheduled";

@@ -13,7 +13,7 @@ namespace neon::analysis {
 
 using set::Backend;
 using set::Container;
-using skeleton::Options;
+using skeleton::SequenceOptions;
 using skeleton::Skeleton;
 using skeleton::Task;
 
@@ -39,7 +39,7 @@ TEST(RaceDetector, CleanOnBothEngines)
             auto an = rig.backend.analysis();
             an.enable();
             Skeleton skl(rig.backend);
-            skl.sequence(cleanSeq(rig), "clean", Options().withOcc(occ));
+            skl.sequence(cleanSeq(rig), SequenceOptions().withName("clean").withOcc(occ));
             for (int r = 0; r < 3; ++r) {
                 skl.run();
             }
@@ -61,7 +61,7 @@ TEST(RaceDetector, DetectsDroppedCrossStreamWait)
         rig.add("mix", rig.f0, rig.f1, rig.f2),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "dropped-wait");
+    skl.sequence(seq, SequenceOptions().withName("dropped-wait"));
     ASSERT_EQ(skl.streamCount(), 2);
 
     const int mix = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
@@ -107,8 +107,8 @@ TEST(RaceDetector, DetectsMissingInterRunBarrier)
         std::vector<Container> seqB = {rig.copy("rb", rig.f1, rig.f2)};
         Skeleton               a(rig.backend);
         Skeleton               b(rig.backend);
-        a.sequence(seqA, "a");
-        b.sequence(seqB, "b");
+        a.sequence(seqA, SequenceOptions().withName("a"));
+        b.sequence(seqB, SequenceOptions().withName("b"));
         ASSERT_EQ(a.streamCount(), 2);
         if (revert) {
             a.debugUsePerSkeletonBarrier(true);
@@ -138,6 +138,42 @@ TEST(RaceDetector, DetectsMissingInterRunBarrier)
     }
 }
 
+// Ping-pong chaining regression: successive runs over the same
+// fields — issued through two different Skeletons — are ordered by the
+// per-uid chains that replaced the backend-wide run barrier.
+TEST(RaceDetector, PingPongChainingAcrossSkeletonsStillHolds)
+{
+    Rig  rig(Backend::cpu(3));
+    auto an = rig.backend.analysis();
+    an.enable();
+    skeleton::Skeleton even(rig.backend);
+    skeleton::Skeleton odd(rig.backend);
+    even.sequence({rig.stencil("even", rig.f0, rig.f1)}, SequenceOptions().withName("even"));
+    odd.sequence({rig.stencil("odd", rig.f1, rig.f0)}, SequenceOptions().withName("odd"));
+    for (int step = 0; step < 3; ++step) {
+        even.run();
+        odd.run();
+    }
+    even.sync();
+    const AnalysisReport rep = an.raceReport();
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+
+    // Oracle: the same six sweeps through one skeleton on a fresh rig.
+    Rig                ref(Backend::cpu(3));
+    skeleton::Skeleton one(ref.backend);
+    one.sequence({ref.stencil("even", ref.f0, ref.f1), ref.stencil("odd", ref.f1, ref.f0)},
+                 SequenceOptions().withName("pair"));
+    for (int step = 0; step < 3; ++step) {
+        one.run();
+    }
+    one.sync();
+    rig.f0.updateHost();
+    ref.f0.updateHost();
+    rig.grid.dim().forEach([&](const index_3d& g) {
+        ASSERT_EQ(rig.f0.hVal(g), ref.f0.hVal(g)) << "ping-pong chaining diverged";
+    });
+}
+
 TEST(RaceDetector, DetectsSkippedHaloUpdateAtRuntime)
 {
     Rig                    rig(Backend::cpu(3));
@@ -146,7 +182,7 @@ TEST(RaceDetector, DetectsSkippedHaloUpdateAtRuntime)
         rig.stencil("sten", rig.f0, rig.f1),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "halo");
+    skl.sequence(seq, SequenceOptions().withName("halo"));
     const int halo = findHaloNode(skl.graph());
     ASSERT_GE(halo, 0);
     skl.debugMutateGraph([&](skeleton::Graph& g) { g.killNode(halo); });
@@ -174,7 +210,7 @@ TEST(RaceDetector, IncrementalDrainReportsFindingsOnce)
         rig.add("mix", rig.f0, rig.f1, rig.f2),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "drain");
+    skl.sequence(seq, SequenceOptions().withName("drain"));
     const int mix = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
         return n.container.name() == "mix";
     });

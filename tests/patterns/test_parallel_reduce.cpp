@@ -56,7 +56,8 @@ RunResult runAt(set::EngineKind kind, int hostThreads, int nDev)
     GlobalScalar<double> n(backend, "n", 0.0);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence({axpy(grid, alpha, x, y), dot(grid, x, y, d), norm2Sq(grid, y, n)}, "reduce");
+    skl.sequence({axpy(grid, alpha, x, y), dot(grid, x, y, d), norm2Sq(grid, y, n)},
+                 skeleton::SequenceOptions().withName("reduce"));
     for (int r = 0; r < 3; ++r) {
         skl.run();
     }

@@ -17,7 +17,6 @@
 
 #include "repartition/self_healing.hpp"
 #include "repartition_fixture.hpp"
-#include "service/service.hpp"
 #include "sys/fault.hpp"
 
 namespace neon::repartition {
@@ -200,66 +199,6 @@ TEST(SurvivorSpec, RemapsFaultRuleDevicesAndRebasesRuns)
 TEST(SurvivorSpec, RefusesToShrinkBelowOneDevice)
 {
     EXPECT_THROW(survivorSpec(BackendSpec::cpu(1), 0, 0), NeonException);
-}
-
-// --- service: jobs survive a device loss mid-trace --------------------------
-
-TEST(ServiceRecovery, OtherJobsSurviveADeviceLoss)
-{
-    // Device 1 dies while job A runs. With a recovery handler installed the
-    // service fails only job A; jobs B and C re-dispatch onto the survivor
-    // backend and complete.
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
-    spec.withFaults(sys::FaultPlan(5).add(sys::FaultSpec::deviceLoss(1, 1)));
-    Harness<dgrid::DGrid> h(Backend::make(spec));
-
-    service::Service svc(h.grid.backend(),
-                         service::ServiceConfig().withMaxInFlight(3).withBatching(false));
-    svc.setRecoveryHandler(
-        [&h](Backend dying, const RuntimeError::Info& info) {
-            Backend survivor = Backend::make(survivorSpec(dying.spec(), info.device, 0));
-            h.grid.rebindBackend(survivor);
-            for (auto& c : h.seq) {
-                c.rebuild();
-            }
-            return survivor;
-        });
-
-    // b dispatches as run 0 (clean) and is still in flight when a's run 1
-    // triggers the loss — exercising the re-queue path; c lands after the
-    // recovery, exercising a fresh dispatch onto the survivor backend.
-    service::Job b = svc.submit(service::JobRequest{.name = "b", .ops = h.seq});
-    service::Job a = svc.submit(service::JobRequest{.name = "a", .ops = h.seq});
-    service::Job c = svc.submit(service::JobRequest{.name = "c", .ops = h.seq});
-    svc.drain();
-
-    EXPECT_EQ(a.state(), service::JobState::Failed);
-    EXPECT_THROW(a.rethrowIfFailed(), RuntimeError);
-    EXPECT_EQ(b.state(), service::JobState::Completed);
-    EXPECT_EQ(c.state(), service::JobState::Completed);
-    EXPECT_EQ(svc.failedCount(), 1);
-    EXPECT_EQ(svc.completedCount(), 2);
-    EXPECT_EQ(svc.backend().devCount(), 2);
-}
-
-TEST(ServiceRecovery, WithoutHandlerTheBlastRadiusStands)
-{
-    // The pre-existing fail-stop contract is the default: no handler, and
-    // a device loss fails the attributed job (and, had others been queued
-    // behind it on the dead backend, them too).
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
-    spec.withFaults(sys::FaultPlan(5).add(sys::FaultSpec::deviceLoss(1, 0)));
-    Harness<dgrid::DGrid> h(Backend::make(spec));
-
-    service::Service svc(h.grid.backend(),
-                         service::ServiceConfig().withMaxInFlight(2).withBatching(false));
-    service::Job a = svc.submit(service::JobRequest{.name = "a", .ops = h.seq});
-    service::Job b = svc.submit(service::JobRequest{.name = "b", .ops = h.seq});
-    svc.drain();
-
-    EXPECT_EQ(a.state(), service::JobState::Failed);
-    EXPECT_EQ(b.state(), service::JobState::Failed);
-    EXPECT_EQ(svc.failedCount(), 2);
 }
 
 // --- FieldGuard restore fidelity --------------------------------------------

@@ -110,6 +110,33 @@ void migrationPreservesData()
     expectBitwiseEqual(snapshot(h.f), before, "round-trip f");
 }
 
+template <typename Grid>
+void rejectsIllegalPlans()
+{
+    Harness<Grid>               h(Backend::cpu(3));
+    const domain::PartitionPlan start = h.grid.currentPlan();
+    const uint64_t              epoch = h.grid.backend().geometryEpoch();
+    const std::vector<double>   before = snapshot(h.f);
+
+    domain::PartitionPlan bad = start;
+    bad.unitsPerDev.pop_back();
+    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // wrong device count
+    bad = start;
+    bad.unitsPerDev.back() += 1;
+    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // does not cover the domain
+    bad = start;
+    const int64_t shortfall = bad.unitsPerDev.front() - (h.grid.minUnitsPerDev() - 1);
+    bad.unitsPerDev.front() -= shortfall;
+    bad.unitsPerDev.back() += shortfall;
+    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // below the per-device floor
+
+    // A rejected plan changes nothing: same decomposition, same epoch,
+    // same data.
+    EXPECT_EQ(h.grid.currentPlan().unitsPerDev, start.unitsPerDev);
+    EXPECT_EQ(h.grid.backend().geometryEpoch(), epoch);
+    expectBitwiseEqual(snapshot(h.f), before, "f after rejected plans");
+}
+
 }  // namespace
 
 // --- grid x engine battery -------------------------------------------------
@@ -154,17 +181,9 @@ TEST(RepartitionMigration, BGridPreservesData)
 
 TEST(RepartitionMigration, RejectsIllegalPlans)
 {
-    Harness<dgrid::DGrid> h(Backend::cpu(3));
-    domain::PartitionPlan bad = h.grid.currentPlan();
-    bad.unitsPerDev.pop_back();
-    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // wrong device count
-    bad = h.grid.currentPlan();
-    bad.unitsPerDev.back() += 1;
-    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // does not cover the domain
-    bad = h.grid.currentPlan();
-    bad.unitsPerDev.front() = 0;
-    bad.unitsPerDev.back() += 8;
-    EXPECT_THROW(h.grid.repartition(bad), NeonException);  // below the per-device floor
+    rejectsIllegalPlans<dgrid::DGrid>();
+    rejectsIllegalPlans<egrid::EGrid>();
+    rejectsIllegalPlans<bgrid::BGrid>();
 }
 
 // --- uneven-slab halo correctness (haloLoFed / haloHiFed) -------------------
@@ -204,7 +223,7 @@ TEST(UnevenSlabHalo, DGridFeedsExactlyTheFedHalves)
     });
 
     skeleton::Skeleton skl(backend);
-    skl.sequence({fill, sten}, "uneven");
+    skl.sequence({fill, sten}, skeleton::SequenceOptions().withName("uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int stenId = findStencilNode(skl.graph());
@@ -264,7 +283,8 @@ TEST(UnevenSlabHalo, SparseBGridStillClaimsNoHaloAfterRepartition)
     grid.repartition(plan);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "sparse-uneven");
+    skl.sequence(bgridStencilSeq(grid, in, out),
+                 skeleton::SequenceOptions().withName("sparse-uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int haloId = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
@@ -293,7 +313,8 @@ TEST(UnevenSlabHalo, DenseBGridClaimsOnlyFedHalvesAfterRepartition)
     grid.repartition(plan);  // legal no-op-sized re-slice keeps the claims
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "dense-uneven");
+    skl.sequence(bgridStencilSeq(grid, in, out),
+                 skeleton::SequenceOptions().withName("dense-uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int stenId = findStencilNode(skl.graph());

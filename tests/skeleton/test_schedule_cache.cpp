@@ -347,23 +347,24 @@ TEST(CompiledSchedule, EmptyHandleThrows)
     EXPECT_THROW((void)empty.structuralHash(), NeonException);
 }
 
-TEST(SequenceOptionsApi, LegacyOverloadDelegatesToSequenceOptions)
+TEST(SequenceOptionsApi, NameOccAndStreamCapReachTheSchedule)
 {
     resetCache();
     Backend  backend = Backend::cpu(2);
     Pipeline p(backend, {6, 4, 13});
     Skeleton skl(backend);
-    const CompiledSchedule c =
-        skl.sequence(p.ops, "legacy", Options().withOcc(Occ::STANDARD).withMaxStreams(3));
-    EXPECT_EQ(skl.name(), "legacy");
+    const CompiledSchedule c = skl.sequence(
+        p.ops, SequenceOptions().withName("capped").withOcc(Occ::STANDARD).withMaxStreams(3));
+    EXPECT_EQ(skl.name(), "capped");
     EXPECT_LE(skl.streamCount(), 3);
     EXPECT_TRUE(c.current());
 
-    // The legacy overload goes through the same cache.
+    // The name is not part of the structural key: a differently named
+    // sequence with the same occ and cap replays the cached schedule.
     Pipeline p2(backend, {6, 4, 13});
     Skeleton s2(backend);
-    const auto c2 =
-        s2.sequence(p2.ops, "legacy2", Options().withOcc(Occ::STANDARD).withMaxStreams(3));
+    const auto c2 = s2.sequence(
+        p2.ops, SequenceOptions().withName("capped2").withOcc(Occ::STANDARD).withMaxStreams(3));
     EXPECT_TRUE(c2.cacheHit());
     EXPECT_EQ(c.structuralHash(), c2.structuralHash());
 }

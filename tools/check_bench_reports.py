@@ -3,7 +3,7 @@
 
 Usage: check_bench_reports.py [--overhead-baseline BASELINE.json] REPORT.json [...]
 
-Two schemas are understood:
+Three schemas are understood:
 
 * ExecutionReport payloads from the fig7/8/9 benches
   (docs/observability.md): the overlap/halo/critical-path aggregates plus
@@ -17,15 +17,6 @@ Two schemas are understood:
   cached-path wall cost and the dispatch ns_per_cell are additionally
   gated at 2x the committed baseline, so a hot-path regression fails CI
   even when the compile path regresses by the same factor.
-* The multi-tenant traffic replay from bench_service
-  (docs/service.md, "bench": "service"): >= 1000 mixed jobs replayed
-  both serialized (maxInFlight=1, no batching) and concurrent
-  (fair-share + batching) on the same trace. The gates are
-  machine-independent because latencies are virtual-time: the
-  concurrent mode must complete every job, beat the serialized p99
-  latency strictly, and beat the serialized device utilization
-  strictly — otherwise the service layer has stopped buying anything
-  over a FIFO-of-one.
 * The adaptive-repartitioning sweep from bench_repartition
   (docs/robustness.md, "bench": "repartition"): a heterogeneous
   dry-run pool (speed factors with a real spread) runs a stencil+map
@@ -58,10 +49,6 @@ TOP_LEVEL_KEYS = [
 ]
 
 DEVICE_KEYS = ["device", "computeBusy", "transferBusy", "overlap", "haloBytes"]
-
-SERVICE_MODE_KEYS = ["p50", "p99", "mean", "utilization", "makespan", "batches", "completed"]
-# The bench replays a real multi-tenant trace, not a toy one.
-SERVICE_MIN_JOBS = 1000
 
 OVERHEAD_ENQUEUE_KEYS = ["ops_per_run", "runs_measured", "ns_per_op"]
 OVERHEAD_SEQUENCE_KEYS = ["repeats", "compile_ns", "cached_ns", "speedup", "cache_hits"]
@@ -179,61 +166,6 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
     return errors
 
 
-def check_service_report(path: str, report: dict) -> list[str]:
-    errors = []
-    jobs = report.get("jobs")
-    if not isinstance(jobs, int) or jobs < SERVICE_MIN_JOBS:
-        errors.append(f"{path}: jobs {jobs!r} below the {SERVICE_MIN_JOBS}-job floor")
-    modes = report.get("modes")
-    if not isinstance(modes, dict):
-        return errors + [f"{path}: missing 'modes' section"]
-    for name in ("serialized", "concurrent"):
-        mode = modes.get(name)
-        if not isinstance(mode, dict):
-            errors.append(f"{path}: missing mode '{name}'")
-            continue
-        for key in SERVICE_MODE_KEYS:
-            if key not in mode:
-                errors.append(f"{path}: mode '{name}' missing '{key}'")
-    if errors:
-        return errors
-
-    serialized = modes["serialized"]
-    concurrent = modes["concurrent"]
-    for name, mode in (("serialized", serialized), ("concurrent", concurrent)):
-        if isinstance(jobs, int) and mode["completed"] != jobs:
-            errors.append(
-                f"{path}: mode '{name}' completed {mode['completed']}/{jobs} jobs"
-            )
-        if not 0.0 <= mode["utilization"] <= 1.0:
-            errors.append(
-                f"{path}: mode '{name}' utilization {mode['utilization']} out of [0, 1]"
-            )
-        if mode["p50"] <= 0.0 or mode["p99"] < mode["p50"]:
-            errors.append(
-                f"{path}: mode '{name}' latency percentiles malformed "
-                f"(p50={mode['p50']}, p99={mode['p99']})"
-            )
-    if serialized["batches"] != 0:
-        errors.append(f"{path}: serialized mode must not batch (got {serialized['batches']})")
-    if errors:
-        return errors
-
-    # The acceptance gates: concurrent scheduling must strictly beat the
-    # FIFO-of-one baseline on BOTH tail latency and device utilization.
-    if concurrent["p99"] >= serialized["p99"]:
-        errors.append(
-            f"{path}: concurrent p99 {concurrent['p99']:.3g}s not below "
-            f"serialized p99 {serialized['p99']:.3g}s"
-        )
-    if concurrent["utilization"] <= serialized["utilization"]:
-        errors.append(
-            f"{path}: concurrent utilization {concurrent['utilization']:.3f} not above "
-            f"serialized {serialized['utilization']:.3f}"
-        )
-    return errors
-
-
 def check_repartition_report(path: str, report: dict) -> list[str]:
     errors = []
     devices = report.get("devices")
@@ -293,8 +225,6 @@ def check(path: str, overhead_baseline: str | None) -> list[str]:
         return errors
     if report.get("bench") == "overhead":
         return check_overhead_report(path, report, overhead_baseline)
-    if report.get("bench") == "service":
-        return check_service_report(path, report)
     if report.get("bench") == "repartition":
         return check_repartition_report(path, report)
     return check_execution_report(path, report)

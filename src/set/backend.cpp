@@ -185,18 +185,7 @@ struct Backend::Impl
     }
 };
 
-Backend::Backend() : Backend(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost()) {}
-
-Backend::Backend(int nDevices, sys::DeviceType type, sys::SimConfig config, EngineKind engineKind)
-{
-    BackendSpec spec;
-    spec.nDevices = nDevices;
-    spec.deviceType = type;
-    spec.engine = engineKind;
-    spec.config = config;
-    spec.preset = presetNameFor(config);
-    *this = make(std::move(spec));
-}
+Backend::Backend() : Backend(make(BackendSpec())) {}
 
 Backend Backend::make(BackendSpec spec)
 {

@@ -104,9 +104,6 @@ class Backend
 
     /// Default: one zero-cost CPU device, sequential engine.
     Backend();
-    /// Positional form retained for compatibility; prefer make(BackendSpec).
-    Backend(int nDevices, sys::DeviceType type, sys::SimConfig config,
-            EngineKind engine = EngineKind::Sequential);
 
     /// The one construction entry point: build from a named-field spec.
     static Backend make(BackendSpec spec);

@@ -37,7 +37,8 @@ class Device
     [[nodiscard]] DeviceType type() const { return mType; }
     [[nodiscard]] const SimConfig& config() const { return mConfig; }
 
-    // --- DES engine bookkeeping (sequential engine; guarded by engine) ---
+    // --- DES clocks (written by the Engine's op-semantics core under its
+    // clock discipline) ---
     /// Virtual time at which the compute engine becomes free. Grid kernels
     /// saturate a GPU, so concurrent kernels on one device serialize.
     double computeAvailable = 0.0;

@@ -176,11 +176,17 @@ FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
         }
 
         if (spec.kind == FaultKind::PermanentDeviceLoss) {
+            // Trigger at the run boundary: the decision depends only on the
+            // op's run id, never on cross-stream arrival order. An op of a
+            // run before the first lost run never sees the latch, even when
+            // a later run's op on another stream already set it; ops outside
+            // a skeleton (run id -1) see it once it is set.
+            if (spec.run >= 0 && attr.runId >= 0 && attr.runId < spec.run) {
+                continue;
+            }
             bool lost = device >= 0 && static_cast<size_t>(device) < mLost.size() &&
                         mLost[static_cast<size_t>(device)] != 0;
-            // Trigger at the run boundary: the decision depends only on the
-            // op's run id, never on cross-stream arrival order.
-            if (!lost && (spec.run < 0 || (attr.runId >= 0 && attr.runId >= spec.run))) {
+            if (!lost && (spec.run < 0 || attr.runId >= 0)) {
                 lost = true;
                 if (device >= 0) {
                     if (static_cast<size_t>(device) >= mLost.size()) {

@@ -43,9 +43,10 @@ struct FaultSpec
     int       device = -1;  ///< -1: any device
     int       stream = -1;  ///< -1: any stream
     /// Transient/stall/degrade: exact run id to target (-1: every run).
-    /// PermanentDeviceLoss: first lost run — ops of run >= this fail, and
-    /// once triggered the device stays lost for everything after (negative:
-    /// lost immediately, including pre-run setup ops).
+    /// PermanentDeviceLoss: first lost run — ops of run >= this fail, ops
+    /// of earlier runs never do, and once triggered the device also stays
+    /// lost for ops outside a skeleton (negative: lost immediately,
+    /// including pre-run setup ops).
     int                           run = -1;
     std::optional<ScheduleOpKind> opKind;  ///< restrict to one op kind
     double                        probability = 1.0;

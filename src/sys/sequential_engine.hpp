@@ -3,14 +3,11 @@
 // (the Skeleton's task list is a topological order of the multi-GPU graph,
 // so eager in-order execution is hazard-free) while per-stream, per-device
 // virtual clocks model what an 8-GPU node would have done concurrently.
+// Everything runs on the enqueuing thread, so the clocks take no lock.
 //
 // Waiting on an event that has not been recorded yet is, under this engine,
 // a scheduler ordering bug and throws InternalError — a strong built-in
 // correctness check on the Skeleton's task ordering.
-
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "sys/stream.hpp"
 
@@ -19,28 +16,11 @@ namespace neon::sys {
 class SequentialEngine final : public Engine
 {
    public:
-    void attach(Stream& stream) override;
-    void detach(Stream& stream) override;
+    SequentialEngine() : Engine(/*lockClocks=*/false) {}
+
     void enqueue(Stream& stream, Op op) override;
     void sync(Stream& stream) override;
     void syncAll() override;
-
-    [[nodiscard]] double streamVtime(const Stream& stream) const override;
-    [[nodiscard]] double maxVtime() const override;
-    void resetClocks() override;
-
-    [[nodiscard]] bool isSequential() const override { return true; }
-
-   private:
-    struct State
-    {
-        double vtime = 0.0;
-    };
-    static State& stateOf(const Stream& stream);
-
-    mutable std::mutex              mMutex;
-    std::unordered_set<Stream*>     mStreams;
-    std::unordered_set<Device*>     mDevices;
 };
 
 }  // namespace neon::sys

@@ -8,7 +8,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_set>
+#include <vector>
 
+#include "core/error.hpp"
 #include "sys/fault.hpp"
 #include "sys/op.hpp"
 #include "sys/schedule_log.hpp"
@@ -19,6 +23,13 @@ namespace neon::sys {
 
 class Engine;
 class Device;
+
+/// Virtual-time interval of an op, or of one chunk of a transfer.
+struct TimeWindow
+{
+    double start = 0.0;
+    double end = 0.0;
+};
 
 class Stream
 {
@@ -53,33 +64,40 @@ class Stream
     std::shared_ptr<void> engineState;
 
    private:
+    friend class Engine;
+
     Engine* mEngine;
     Device* mDevice;
     int     mId;
+    // Clock state of the engine's op-semantics core, guarded by its clock
+    // discipline (Engine::clockLock).
+    double                  mVtime = 0.0;
+    std::vector<TimeWindow> mChunkWindows;  ///< last transfer's chunks, account -> execute
 };
 
-/// Execution engine interface: how enqueued ops are processed. Two
-/// implementations exist (DESIGN.md §4): a deterministic sequential
-/// discrete-event engine and a threaded engine with real cross-stream
-/// synchronization used to validate scheduler correctness.
+/// Execution engine: how enqueued ops are processed (DESIGN.md §4). The op
+/// semantics live here once — what each op kind costs on the virtual
+/// clocks, how faults perturb it, which trace rows it leaves. The two
+/// engines differ only in where ops run (eagerly on the enqueuing thread,
+/// or on one worker per stream), what a wait on an unrecorded event does,
+/// and how queued work drains after an abort.
 class Engine
 {
    public:
     virtual ~Engine() = default;
 
-    virtual void attach(Stream& stream) = 0;
-    virtual void detach(Stream& stream) = 0;
+    /// Stream registration (called by the Stream ctor/dtor).
+    virtual void attach(Stream& stream);
+    virtual void detach(Stream& stream);
     virtual void enqueue(Stream& stream, Op op) = 0;
     virtual void sync(Stream& stream) = 0;
     virtual void syncAll() = 0;
 
-    [[nodiscard]] virtual double streamVtime(const Stream& stream) const = 0;
+    [[nodiscard]] double streamVtime(const Stream& stream) const;
     /// Max vtime across every stream (virtual makespan of the work so far).
-    [[nodiscard]] virtual double maxVtime() const = 0;
+    [[nodiscard]] double maxVtime() const;
     /// Zero every stream/device clock (between measured runs).
-    virtual void resetClocks() = 0;
-
-    [[nodiscard]] virtual bool isSequential() const = 0;
+    void resetClocks();
 
     [[nodiscard]] Trace& trace() { return mTrace; }
 
@@ -113,33 +131,32 @@ class Engine
     void clearAbort();
 
    protected:
-    /// Consult the fault injector for the op about to be processed; on
-    /// permanent device loss, latch the abort and throw the attributed
-    /// RuntimeError. `opKindName`/`opName` feed the error message.
-    FaultDecision consultFaults(const Device& dev, int stream, ScheduleOpKind kind,
-                                const OpAttribution& attr, const char* opKindName,
-                                const std::string& opName);
-    /// Latch the abort and throw an OpTimeout RuntimeError.
-    [[noreturn]] void throwOpTimeout(const Device& dev, int stream, const char* opKindName,
-                                     const std::string& opName, const OpAttribution& attr,
-                                     double limit);
-    /// Latch the abort and throw a TransferFailed RuntimeError.
-    [[noreturn]] void throwTransferExhausted(const Device& dev, int stream,
-                                             const std::string& opName, const OpAttribution& attr,
-                                             int attempts);
-    /// Latch the abort and throw a SyncTimeout RuntimeError.
-    [[noreturn]] void throwSyncTimeout(int device, int stream, const char* opKindName,
-                                       const std::string& opName, const OpAttribution& attr,
-                                       double limit);
+    /// `lockClocks`: serialize every clock access on a mutex, for engines
+    /// that process ops on several threads.
+    explicit Engine(bool lockClocks) : mLockClocks(lockClocks) {}
+
+    /// Process `op` with the shared semantics. A work op is accounted on
+    /// the virtual clocks (under the clock discipline), then executed and
+    /// traced (outside it); a record stamps its event at the stream vtime; a
+    /// wait on a recorded event advances the stream to the event's time.
+    /// Returns false for a wait on an event not recorded yet: the engine
+    /// decides what that means and finishes the wait with completeWait().
+    bool process(Stream& stream, const Op& op);
+    /// Advance the stream to `eventVtime` and write the wait trace row.
+    void completeWait(Stream& stream, const WaitOp& op, double eventVtime);
+    /// Record `op.event` at the stream's current vtime.
+    void recordEvent(Stream& stream, const RecordOp& op);
+
+    /// Error attribution for an op of `stream`.
+    static RuntimeError::Info opError(RuntimeError::Kind kind, const Stream& stream,
+                                      std::string_view opKind, std::string_view opName,
+                                      const OpAttribution& attr = {});
+    /// Latch the abort with a RuntimeError built from `info` and throw it.
+    [[noreturn]] void abortWith(RuntimeError::Info info);
     /// The abort latch, exposed to bounded event waits as a cancel flag.
     [[nodiscard]] const std::atomic<bool>* abortFlag() const { return &mAborted; }
-
-    /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
-    /// device goes through the host pool (when it helps); everything else
-    /// runs inline. Records TraceKind::HostPool utilization rows anchored
-    /// at `startV` when the trace is enabled. Virtual-clock accounting is
-    /// the caller's job — this only runs the body.
-    void runKernelWork(const Device& dev, int streamId, const KernelOp& op, double startV);
+    /// Snapshot of the attached streams.
+    [[nodiscard]] std::vector<Stream*> streams() const;
 
     Trace         mTrace;
     ScheduleLog   mScheduleLog;
@@ -147,6 +164,35 @@ class Engine
     std::shared_ptr<ThreadPool> mHostPool;
 
    private:
+    /// The clock discipline: the clock mutex when the engine locks clocks,
+    /// an empty lock (no mutex taken) otherwise.
+    [[nodiscard]] std::unique_lock<std::mutex> clockLock() const
+    {
+        return mLockClocks ? std::unique_lock<std::mutex>(mClockMutex)
+                           : std::unique_lock<std::mutex>();
+    }
+
+    /// Step 1 of a work op: consult faults, commit the stream vtime and the
+    /// device compute/DMA clocks, return the op's window (a transfer's chunk
+    /// windows go to stream.mChunkWindows). Takes the clock lock.
+    template <class W>
+    TimeWindow account(Stream& stream, const W& op);
+    /// Step 2 of a work op: run its body (skipped on dryRun) and record its
+    /// trace rows. Runs outside any lock.
+    void execute(Stream& stream, const KernelOp& op, TimeWindow w);
+    void execute(Stream& stream, const TransferOp& op, TimeWindow w);
+    void execute(Stream& stream, const HostFnOp& op, TimeWindow w);
+    /// The fault decision for the op about to be processed; a lost device
+    /// aborts with an attributed DeviceLost error.
+    FaultDecision decideFaults(const Stream& stream, ScheduleOpKind kind, std::string_view name,
+                               const OpAttribution& attr);
+
+    const bool                  mLockClocks;
+    mutable std::mutex          mClockMutex;  ///< stream vtimes + device clocks
+    mutable std::mutex          mRegistryMutex;
+    std::unordered_set<Stream*> mStreams;
+    std::unordered_set<Device*> mDevices;
+
     std::atomic<bool>          mAborted{false};
     mutable std::mutex         mAbortMutex;
     std::exception_ptr         mAbortError;

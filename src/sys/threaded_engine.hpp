@@ -10,7 +10,6 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "sys/stream.hpp"
 
@@ -19,19 +18,13 @@ namespace neon::sys {
 class ThreadedEngine final : public Engine
 {
    public:
-    ~ThreadedEngine() override;
+    ThreadedEngine() : Engine(/*lockClocks=*/true) {}
 
     void attach(Stream& stream) override;
     void detach(Stream& stream) override;
     void enqueue(Stream& stream, Op op) override;
     void sync(Stream& stream) override;
     void syncAll() override;
-
-    [[nodiscard]] double streamVtime(const Stream& stream) const override;
-    [[nodiscard]] double maxVtime() const override;
-    void resetClocks() override;
-
-    [[nodiscard]] bool isSequential() const override { return false; }
 
     /// Drain every stream's queue without throwing (abort-recovery path).
     void quiesce() override;
@@ -46,18 +39,17 @@ class ThreadedEngine final : public Engine
         bool                    stop = false;
         bool                    busy = false;
         std::atomic<bool>       cancel{false};  ///< detach in progress: give up waits
-        double                  vtime = 0.0;    ///< guarded by engine clock mutex
         std::thread             worker;
     };
     static State& stateOf(const Stream& stream);
 
     void workerLoop(Stream* stream, State* state);
-    void process(Stream& stream, State& state, Op& op);
-
-    mutable std::mutex          mClockMutex;  ///< guards vtimes + device clocks
-    mutable std::mutex          mRegistryMutex;
-    std::unordered_set<Stream*> mStreams;
-    std::unordered_set<Device*> mDevices;
+    /// Block until `op`'s event is recorded (bounded by hostSyncTimeout),
+    /// then complete the wait.
+    void awaitEvent(Stream& stream, State& state, const WaitOp& op);
+    /// Block until the stream's queue is empty and its worker idle. Returns
+    /// false when `limitSeconds` (> 0) of wall time passed first.
+    static bool waitIdle(State& state, double limitSeconds);
 };
 
 }  // namespace neon::sys

@@ -44,8 +44,6 @@ struct TraceEntry
     std::string name;
     double      startV = 0.0;
     double      endV = 0.0;
-    // Structured metadata (defaulted so the historical six-field aggregate
-    // initialization keeps compiling).
     uint64_t bytes = 0;        ///< transfer payload; "hostPool": chunks executed
     int      containerId = -1; ///< skeleton graph-node id, -1 outside a skeleton
     int      runId = -1;       ///< skeleton run() window id, -1 outside a skeleton
@@ -74,10 +72,6 @@ class Trace
     void record(int device, int stream, TraceKind kind, std::string_view name, double startV,
                 double endV, uint64_t bytes = 0, int containerId = -1, int runId = -1,
                 uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
-
-    /// Compatibility shim over record(): accepts a materialized entry (the
-    /// kind string must be one of the five to_string(TraceKind) spellings).
-    void add(const TraceEntry& entry);
 
     void clear();
 

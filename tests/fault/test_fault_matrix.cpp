@@ -6,7 +6,9 @@
 //     be invisible to the computed data: the run converges bitwise
 //     identical to the fault-free run on the same backend shape,
 //   - a fixed-seed probabilistic plan fires the same faults on the
-//     sequential and threaded engines,
+//     sequential and threaded engines and, with one stream per device,
+//     leaves the same virtual timeline on both (the engines share one
+//     op-semantics core),
 //   - retry exhaustion and permanent device loss surface as structured
 //     RuntimeErrors with container/run attribution — never a hang — and
 //     after a device loss the sequential engine's survivor state is
@@ -15,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
@@ -40,7 +44,9 @@ struct MiniApp
     std::vector<dgrid::DField<double>> fields;
     Skeleton                           skl;
 
-    explicit MiniApp(Backend backend)
+    explicit MiniApp(Backend backend,
+                     const SequenceOptions& options =
+                         SequenceOptions().withName("mini").withOcc(Occ::STANDARD))
         : grid(std::move(backend), kDim, Stencil::laplace7()), skl(grid.backend())
     {
         for (int i = 0; i < 2; ++i) {
@@ -72,7 +78,7 @@ struct MiniApp
                 dp(c) = 0.7 * dp(c) + 0.3 * sp(c);
             };
         }));
-        skl.sequence(seq, SequenceOptions().withName("mini").withOcc(Occ::STANDARD));
+        skl.sequence(seq, options);
     }
 
     std::vector<double> run(int runs = kRuns)
@@ -97,7 +103,7 @@ struct MiniApp
 
 Backend makeBackend(int nDev, Backend::EngineKind kind, const sys::FaultPlan& plan = {})
 {
-    Backend b(nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost(), kind);
+    Backend b = Backend::make(set::BackendSpec::cpu(nDev, kind));
     if (!plan.empty()) {
         b.faults().setPlan(plan);
     }
@@ -155,6 +161,47 @@ TEST(FaultMatrixCross, FixedSeedPlanFiresIdenticallyOnBothEngines)
     EXPECT_GT(events[0], 0) << "seed 77 must fire at least once for this test to mean anything";
     EXPECT_EQ(events[0], events[1]) << "fault decisions must not depend on the engine";
     expectBitwiseEqual(data[1], data[0]);
+}
+
+TEST(FaultMatrixCross, SeededPlanLeavesIdenticalTimelinesOnBothEngines)
+{
+    // Retries, stalls and degraded links all reshape the virtual timeline;
+    // both engines must reshape it identically, row for row. One stream per
+    // device: streams of one device contend for its shared compute/DMA
+    // clocks in thread-timing order, so only then is the threaded timeline
+    // deterministic.
+    sys::FaultPlan plan(4242);
+    plan.add(sys::FaultSpec::transientTransfer(1).withProbability(0.5))
+        .add(sys::FaultSpec::streamStall(5e-6).withProbability(0.3))
+        .add(sys::FaultSpec::linkDegrade(2.0).withProbability(0.5));
+    const auto options =
+        SequenceOptions().withName("mini").withOcc(Occ::STANDARD).withMaxStreams(1);
+
+    using Row = std::tuple<int, int, std::string, std::string, double, double, uint64_t>;
+    std::vector<Row>          rows[2];
+    const Backend::EngineKind kinds[] = {Backend::EngineKind::Sequential,
+                                         Backend::EngineKind::Threaded};
+    for (int k = 0; k < 2; ++k) {
+        Backend b = Backend::make(
+            set::BackendSpec::simGpu(3, sys::SimConfig::dgxA100Like(), kinds[k]).withFaults(plan));
+        MiniApp app(b, options);
+        b.profiler().enable();
+        app.run(/*runs=*/4);
+        for (const auto& e : b.profiler().trace().entries()) {
+            if (e.kind != "hostPool") {
+                rows[k].emplace_back(e.device, e.stream, e.kind, e.name, e.startV, e.endV,
+                                     e.bytes);
+            }
+        }
+        std::sort(rows[k].begin(), rows[k].end());
+    }
+    const auto faultRows = std::count_if(rows[0].begin(), rows[0].end(),
+                                         [](const Row& r) { return std::get<2>(r) == "fault"; });
+    EXPECT_GT(faultRows, 0) << "seed 4242 must fire for this test to mean anything";
+    ASSERT_EQ(rows[1].size(), rows[0].size());
+    for (size_t i = 0; i < rows[0].size(); ++i) {
+        EXPECT_EQ(rows[1][i], rows[0][i]) << "timeline row " << i << " differs";
+    }
 }
 
 TEST_P(FaultMatrix, StreamStallsPreserveResults)

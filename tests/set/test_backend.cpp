@@ -45,7 +45,7 @@ TEST(Backend, RejectsBadIndices)
 
 TEST(Backend, RejectsZeroDevices)
 {
-    EXPECT_THROW(Backend(0, sys::DeviceType::CPU, sys::SimConfig::zeroCost()), NeonException);
+    EXPECT_THROW(Backend::make(BackendSpec::cpu(0)), NeonException);
 }
 
 TEST(Backend, HandleIsShared)

@@ -76,7 +76,9 @@ RunResult runPipeline(int nDev, Occ occ, Backend::EngineKind engine,
                       sys::SimConfig cfg = sys::SimConfig::zeroCost(),
                       double* vtimeOut = nullptr, index_3d dim = kDim)
 {
-    Backend      backend(nDev, sys::DeviceType::CPU, cfg, engine);
+    set::BackendSpec spec = set::BackendSpec::simGpu(nDev, cfg, engine);
+    spec.deviceType = sys::DeviceType::CPU;  // host devices on the `cfg` cost model
+    Backend      backend = Backend::make(spec);
     dgrid::DGrid grid(backend, dim, Stencil::laplace7());
     auto         A = grid.newField<double>("A", 1, 0.0);
     auto         B = grid.newField<double>("B", 1, 0.0);
@@ -191,7 +193,9 @@ TEST(SkeletonVtime, SingleDeviceOccIsFree)
 TEST(SkeletonVtime, TraceShowsCommunicationComputationOverlap)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
-    Backend        backend(4, sys::DeviceType::CPU, cfg, Backend::EngineKind::Sequential);
+    set::BackendSpec spec = set::BackendSpec::simGpu(4, cfg);
+    spec.deviceType = sys::DeviceType::CPU;  // host devices on the dgxA100 cost model
+    Backend        backend = Backend::make(spec);
     dgrid::DGrid   grid(backend, {16, 16, 64}, Stencil::laplace7());
     auto           B = grid.newField<double>("B", 1, 0.0);
     auto           C = grid.newField<double>("C", 1, 0.0);

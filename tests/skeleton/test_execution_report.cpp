@@ -14,6 +14,14 @@ namespace {
 
 using set::Backend;
 
+/// 4 host devices on the DGX-A100 cost model.
+Backend dgxHostBackend()
+{
+    set::BackendSpec spec = set::BackendSpec::simGpu(4);
+    spec.deviceType = sys::DeviceType::CPU;
+    return Backend::make(spec);
+}
+
 /// Map + stencil pipeline (the paper's Fig. 1 pattern) on a 4-device
 /// simulated node with the DGX-A100 cost model.
 struct Pipeline
@@ -23,7 +31,7 @@ struct Pipeline
     Skeleton       skl;
 
     explicit Pipeline(Occ occ, index_3d dim = {16, 16, 64})
-        : backend(4, sys::DeviceType::CPU, sys::SimConfig::dgxA100Like()),
+        : backend(dgxHostBackend()),
           grid(backend, dim, Stencil::laplace7()),
           skl(backend)
     {

@@ -162,9 +162,7 @@ TEST_P(RandomPipelines, AllConfigurationsMatchReference)
         {8, Occ::TWO_WAY, Backend::EngineKind::Sequential},
     };
     for (const auto& cfg : configs) {
-        Pipeline p(Backend(cfg.nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost(),
-                           cfg.engine),
-                   seed);
+        Pipeline p(Backend::make(set::BackendSpec::cpu(cfg.nDev, cfg.engine)), seed);
         const auto got = p.execute(cfg.occ);
         ASSERT_EQ(got.data.size(), ref.data.size());
         for (size_t i = 0; i < ref.data.size(); ++i) {

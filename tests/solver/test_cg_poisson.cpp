@@ -22,7 +22,7 @@ constexpr index_3d kDim{14, 14, 14};
 double solveDense(int nDev, Occ occ, Backend::EngineKind engine, solver::CgResult* resultOut,
                   std::vector<double>* xOut = nullptr)
 {
-    Backend      backend(nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost(), engine);
+    Backend      backend = Backend::make(set::BackendSpec::cpu(nDev, engine));
     dgrid::DGrid grid(backend, kDim, Stencil::laplace7());
     auto         x = grid.newField<double>("x", 1, 0.0);
     auto         b = grid.newField<double>("b", 1, 0.0);

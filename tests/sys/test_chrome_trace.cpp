@@ -229,7 +229,9 @@ class JsonParser
 /// cross-stream wait, and return the parsed chrome trace.
 JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
 {
-    set::Backend b(2, sys::DeviceType::CPU, sys::SimConfig::dgxA100Like());
+    set::BackendSpec spec = set::BackendSpec::simGpu(2);
+    spec.deviceType = sys::DeviceType::CPU;  // host devices on the dgxA100 cost model
+    set::Backend b = set::Backend::make(spec);
     auto         profiler = b.profiler();
     profiler.enable(true);
 

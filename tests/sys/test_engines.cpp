@@ -18,7 +18,7 @@ class EngineTest : public ::testing::TestWithParam<Backend::EngineKind>
    protected:
     [[nodiscard]] Backend makeBackend(int nDev, sys::SimConfig cfg) const
     {
-        return Backend(nDev, sys::DeviceType::SIM_GPU, cfg, GetParam());
+        return Backend::make(BackendSpec::simGpu(nDev, cfg, GetParam()));
     }
 };
 
@@ -191,8 +191,7 @@ TEST_P(EngineTest, TraceRecordsEntries)
 
 TEST(SequentialEngine, WaitOnUnrecordedEventThrows)
 {
-    Backend b(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost(),
-              Backend::EngineKind::Sequential);
+    Backend b = Backend::make(BackendSpec::cpu(1, Backend::EngineKind::Sequential));
     auto ev = std::make_shared<sys::Event>();
     EXPECT_THROW(b.stream(0).wait(ev), InternalError);
 }

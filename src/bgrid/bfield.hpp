@@ -18,25 +18,15 @@ namespace neon::bgrid {
 template <typename T>
 struct BPartition
 {
-    T*              mem = nullptr;
-    int32_t         nLocalCells = 0;  ///< local blocks * blockVol
-    int32_t         card = 1;
-    int32_t         blockDim = 2;
-    int32_t         blockVol = 8;
-    MemLayout       layout = MemLayout::structOfArrays;
-    T               outside = T{};
-    const uint64_t* masks = nullptr;     ///< activity mask per local block
-    const int32_t*  blockNgh = nullptr;  ///< [ownedBlock][27] -> local block
-    const index_3d* origins = nullptr;   ///< global origin cell per local block
-
-    [[nodiscard]] size_t bufIdx(int64_t cell, int32_t c) const
-    {
-        if (layout == MemLayout::structOfArrays) {
-            return static_cast<size_t>(c) * static_cast<size_t>(nLocalCells) +
-                   static_cast<size_t>(cell);
-        }
-        return static_cast<size_t>(cell) * static_cast<size_t>(card) + static_cast<size_t>(c);
-    }
+    T*                    mem = nullptr;
+    int32_t               card = 1;
+    int32_t               blockDim = 2;
+    int32_t               blockVol = 8;
+    domain::LayoutStrides strides;  ///< over local blocks * blockVol cells
+    T                     outside = T{};
+    const uint64_t*       masks = nullptr;     ///< activity mask per local block
+    const int32_t*        blockNgh = nullptr;  ///< [ownedBlock][27] -> local block
+    const index_3d*       origins = nullptr;   ///< global origin cell per local block
 
     [[nodiscard]] int32_t voxelOf(int32_t vx, int32_t vy, int32_t vz) const
     {
@@ -50,11 +40,11 @@ struct BPartition
 
     [[nodiscard]] T& operator()(const BCell& cell, int32_t c = 0)
     {
-        return mem[bufIdx(cellIdx(cell), c)];
+        return mem[strides(cellIdx(cell), c)];
     }
     [[nodiscard]] const T& operator()(const BCell& cell, int32_t c = 0) const
     {
-        return mem[bufIdx(cellIdx(cell), c)];
+        return mem[strides(cellIdx(cell), c)];
     }
 
     struct NghData
@@ -91,7 +81,7 @@ struct BPartition
         if (((masks[block] >> v) & 1) == 0) {
             return {outside, false};
         }
-        return {mem[bufIdx(static_cast<int64_t>(block) * blockVol + v, c)], true};
+        return {mem[strides(static_cast<int64_t>(block) * blockVol + v, c)], true};
     }
 
     [[nodiscard]] T nghVal(const BCell& cell, const index_3d& offset, int32_t c = 0) const
@@ -118,7 +108,7 @@ struct BPartition
     /// adds to rawHost() (domain contract, shared by every grid's partition).
     [[nodiscard]] size_t flatIdx(const BCell& cell, int32_t c) const
     {
-        return bufIdx(cellIdx(cell), c);
+        return static_cast<size_t>(strides(cellIdx(cell), c));
     }
 
     [[nodiscard]] int32_t cardinality() const { return card; }
@@ -183,14 +173,12 @@ class BField : public domain::FieldBase<BGrid, T>
     {
         assert(dev >= 0 && dev < grid().devCount());
         const auto& g = grid();
-        const auto& p = g.part(dev);
         Partition   part;
         part.mem = this->mCore->data.rawDev(dev);
-        part.nLocalCells = p.nLocal() * g.blockVolume();
         part.card = cardinality();
         part.blockDim = g.blockSize();
         part.blockVol = g.blockVolume();
-        part.layout = layout();
+        part.strides = this->strides(dev);
         part.outside = outsideValue();
         part.masks = g.masks().rawDev(dev);
         part.blockNgh = g.blockNgh().rawDev(dev);
@@ -203,8 +191,7 @@ class BField : public domain::FieldBase<BGrid, T>
     {
         auto [dev, idx] = grid().localOf(g);
         NEON_CHECK(dev >= 0, "hRef on an inactive cell");
-        Partition p = getPartition(dev);
-        return this->rawHost(dev)[p.bufIdx(idx, c)];
+        return this->rawHost(dev)[this->strides(dev)(idx, c)];
     }
 
     [[nodiscard]] T hVal(const index_3d& g, int32_t c = 0) const { return hRef(g, c); }

@@ -74,9 +74,6 @@ BGrid::BGrid(set::Backend backend, index_3d dim,
     g.blockVol = blockDim * blockDim * blockDim;
     g.blockGrid = {ceilDiv(dim.x, blockDim), ceilDiv(dim.y, blockDim), ceilDiv(dim.z, blockDim)};
 
-    const int  nDev = g.backend.devCount();
-    const bool dry = g.backend.isDryRun();
-
     // Pass 1: per-block activity masks over the bounding box.
     g.blockMasks.assign(g.blockGrid.size(), 0);
     for (int32_t z = 0; z < dim.z; ++z) {

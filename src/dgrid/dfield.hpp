@@ -15,45 +15,39 @@
 namespace neon::dgrid {
 
 /// Partition local view captured by compute lambdas (valid on one device).
+/// Every access is a multiply-add on the cell's flat offset (DCell::idx):
+/// component c at `idx*cellMul + c*compStride`, a neighbour at
+/// `idx + off.x + off.y*dimX + off.z*planeSize` (upstream Neon's dPartition
+/// pitch deltas). No accessor branches on the layout.
 template <typename T>
 struct DPartition
 {
-    T*        mem = nullptr;
-    int32_t   dimX = 0;
-    int32_t   dimY = 0;
-    int32_t   zCount = 0;
-    int32_t   haloR = 0;
-    int32_t   zAlloc = 0;
-    int32_t   card = 1;
-    int32_t   zOrigin = 0;
-    int32_t   globalZ = 0;
-    MemLayout layout = MemLayout::structOfArrays;
-    T         outside = T{};
+    T*                    mem = nullptr;
+    int32_t               dimX = 0;
+    int32_t               dimY = 0;
+    int32_t               haloR = 0;
+    int32_t               card = 1;
+    int32_t               zOrigin = 0;
+    int32_t               globalZ = 0;
+    int64_t               planeSize = 0;  ///< dimX*dimY: the z pitch
+    domain::LayoutStrides strides;
+    T                     outside = T{};
 
-    [[nodiscard]] size_t bufIdx(int32_t x, int32_t y, int32_t zb, int32_t c) const
+    /// The cell at local (x, y, z), z in [-haloR, zCount + haloR).
+    [[nodiscard]] DCell cellAt(int32_t x, int32_t y, int32_t z) const
     {
-        if (layout == MemLayout::structOfArrays) {
-            return ((static_cast<size_t>(c) * static_cast<size_t>(zAlloc) + static_cast<size_t>(zb)) *
-                        static_cast<size_t>(dimY) +
-                    static_cast<size_t>(y)) *
-                       static_cast<size_t>(dimX) +
-                   static_cast<size_t>(x);
-        }
-        return ((static_cast<size_t>(zb) * static_cast<size_t>(dimY) + static_cast<size_t>(y)) *
-                    static_cast<size_t>(dimX) +
-                static_cast<size_t>(x)) *
-                   static_cast<size_t>(card) +
-               static_cast<size_t>(c);
+        return DCell(x, y, z, (static_cast<int64_t>(z) + haloR) * planeSize +
+                                  static_cast<int64_t>(y) * dimX + x);
     }
 
     [[nodiscard]] T& operator()(const DCell& cell, int32_t c = 0)
     {
-        return mem[bufIdx(cell.x, cell.y, cell.z + haloR, c)];
+        return mem[strides(cell.idx, c)];
     }
 
     [[nodiscard]] const T& operator()(const DCell& cell, int32_t c = 0) const
     {
-        return mem[bufIdx(cell.x, cell.y, cell.z + haloR, c)];
+        return mem[strides(cell.idx, c)];
     }
 
     struct NghData
@@ -69,15 +63,14 @@ struct DPartition
     {
         const int32_t nx = cell.x + offset.x;
         const int32_t ny = cell.y + offset.y;
-        const int32_t nz = cell.z + offset.z;
         if (nx < 0 || nx >= dimX || ny < 0 || ny >= dimY) {
             return {outside, false};
         }
-        const int32_t gz = zOrigin + nz;
+        const int32_t gz = zOrigin + cell.z + offset.z;
         if (gz < 0 || gz >= globalZ) {
             return {outside, false};
         }
-        return {mem[bufIdx(nx, ny, nz + haloR, c)], true};
+        return {mem[strides(nghIdx(cell, offset), c)], true};
     }
 
     [[nodiscard]] T nghVal(const DCell& cell, const index_3d& offset, int32_t c = 0) const
@@ -93,7 +86,7 @@ struct DPartition
     [[nodiscard]] T nghValUnchecked(const DCell& cell, const index_3d& offset,
                                     int32_t c = 0) const
     {
-        return mem[bufIdx(cell.x + offset.x, cell.y + offset.y, cell.z + offset.z + haloR, c)];
+        return mem[strides(nghIdx(cell, offset), c)];
     }
 
     [[nodiscard]] index_3d globalIdx(const DCell& cell) const
@@ -105,7 +98,7 @@ struct DPartition
     /// adds to rawHost() (domain contract, shared by every grid's partition).
     [[nodiscard]] size_t flatIdx(const DCell& cell, int32_t c) const
     {
-        return bufIdx(cell.x, cell.y, cell.z + haloR, c);
+        return static_cast<size_t>(strides(cell.idx, c));
     }
 
     [[nodiscard]] index_3d globalDim() const { return {dimX, dimY, globalZ}; }
@@ -120,6 +113,13 @@ struct DPartition
     [[nodiscard]] static int32_t stencilExtent(const index_3d& offset)
     {
         return offset.z < 0 ? -offset.z : offset.z;
+    }
+
+   private:
+    [[nodiscard]] int64_t nghIdx(const DCell& cell, const index_3d& offset) const
+    {
+        return cell.idx + offset.x + static_cast<int64_t>(offset.y) * dimX +
+               offset.z * planeSize;
     }
 };
 
@@ -162,13 +162,12 @@ class DField : public domain::FieldBase<DGrid, T>
         part.mem = this->mCore->data.rawDev(dev);
         part.dimX = grid().dim().x;
         part.dimY = grid().dim().y;
-        part.zCount = p.zCount;
         part.haloR = grid().haloRadius();
-        part.zAlloc = p.zCount + 2 * part.haloR;
         part.card = cardinality();
         part.zOrigin = p.zOrigin;
         part.globalZ = grid().dim().z;
-        part.layout = layout();
+        part.planeSize = static_cast<int64_t>(part.dimX) * part.dimY;
+        part.strides = this->strides(dev);
         part.outside = outsideValue();
         return part;
     }
@@ -178,10 +177,9 @@ class DField : public domain::FieldBase<DGrid, T>
     /// z -> device lookup through the grid's LUT).
     [[nodiscard]] T& hRef(const index_3d& g, int32_t c = 0) const
     {
-        const int   dev = grid().devOfZ(g.z);
-        const auto& p = grid().part(dev);
-        const auto  part = hostPartition(dev);
-        return this->rawHost(dev)[part.bufIdx(g.x, g.y, g.z - p.zOrigin + part.haloR, c)];
+        const int  dev = grid().devOfZ(g.z);
+        const auto part = hostPartition(dev);
+        return this->rawHost(dev)[part.flatIdx(part.cellAt(g.x, g.y, g.z - part.zOrigin), c)];
     }
 
     [[nodiscard]] T hVal(const index_3d& g, int32_t c = 0) const { return hRef(g, c); }

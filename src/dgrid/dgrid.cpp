@@ -116,13 +116,14 @@ void DGrid::rebindBackend(set::Backend survivor)
 DSpan DGrid::span(int dev, DataView view) const
 {
     const PartInfo& p = part(dev);
+    const int32_t   r = haloRadius();
     switch (view) {
         case DataView::STANDARD:
-            return DSpan(dim().x, dim().y, {0, p.zCount});
+            return DSpan(dim().x, dim().y, r, {0, p.zCount});
         case DataView::INTERNAL:
-            return DSpan(dim().x, dim().y, {p.bLow, p.zCount - p.bLow - p.bHigh});
+            return DSpan(dim().x, dim().y, r, {p.bLow, p.zCount - p.bLow - p.bHigh});
         case DataView::BOUNDARY:
-            return DSpan(dim().x, dim().y, {0, p.bLow}, {p.zCount - p.bHigh, p.bHigh});
+            return DSpan(dim().x, dim().y, r, {0, p.bLow}, {p.zCount - p.bHigh, p.bHigh});
     }
     return {};
 }

@@ -19,27 +19,49 @@
 
 namespace neon::dgrid {
 
-/// Local cell coordinate inside one partition: x/y global, z in [0, zCount).
+template <typename T>
+struct DPartition;
+
+/// Local cell of one partition: x/y global, z in [0, zCount), plus `idx`,
+/// the flat offset of the cell (component 0) in the partition buffer, halo
+/// planes included: ((z + haloR)*dimY + y)*dimX + x. Every field access is
+/// a multiply-add on `idx`; x/y/z serve globalIdx, spanSlotOf and the
+/// neighbour bounds tests. Only the span decoder and
+/// DPartition::cellAt build cells, so a cell cannot miss its offset.
 struct DCell
 {
-    int32_t x = 0;
-    int32_t y = 0;
-    int32_t z = 0;
+    int32_t x;
+    int32_t y;
+    int32_t z;
+    int64_t idx;
+
+   private:
+    friend struct DSpanDecoder;
+    template <typename T>
+    friend struct DPartition;
+
+    constexpr DCell(int32_t x_, int32_t y_, int32_t z_, int64_t idx_)
+        : x(x_), y(y_), z(z_), idx(idx_)
+    {
+    }
 };
 
 /// domain::Span decoder for the dense grid: a slot is one z-plane, expanded
-/// y-outer/x-inner.
+/// y-outer/x-inner. Offsets are emitted incrementally: one row base per y,
+/// then row + x.
 struct DSpanDecoder
 {
     int32_t dimX = 0;
     int32_t dimY = 0;
+    int32_t haloR = 0;
 
     template <typename Fn>
     void forEachInSlot(int32_t z, Fn&& fn) const
     {
-        for (int32_t y = 0; y < dimY; ++y) {
+        int64_t row = (static_cast<int64_t>(z) + haloR) * dimY * dimX;
+        for (int32_t y = 0; y < dimY; ++y, row += dimX) {
             for (int32_t x = 0; x < dimX; ++x) {
-                fn(DCell{x, y, z});
+                fn(DCell(x, y, z, row + x));
             }
         }
     }
@@ -54,9 +76,9 @@ class DSpan : public domain::Span<DSpanDecoder>
     using ZRange = domain::SpanRange;
 
     DSpan() = default;
-    DSpan(int32_t dimX, int32_t dimY, ZRange r0, ZRange r1 = {0, 0})
+    DSpan(int32_t dimX, int32_t dimY, int32_t haloR, ZRange r0, ZRange r1 = {0, 0})
         : domain::Span<DSpanDecoder>(
-              DSpanDecoder{dimX, dimY},
+              DSpanDecoder{dimX, dimY, haloR},
               static_cast<size_t>(dimX) * static_cast<size_t>(dimY) *
                   static_cast<size_t>(r0.count + r1.count),
               r0, r1)

@@ -23,6 +23,23 @@
 
 namespace neon::domain {
 
+/// The one buffer-addressing rule of every grid's partition: the field's
+/// layout and cardinality hoisted into two multipliers at getPartition time,
+/// so component c of the cell at flat offset `cell` sits at
+/// `cell*cellMul + c*compStride` and no per-cell accessor branches on the
+/// layout. SoA: cellMul 1, compStride = cells per component. AoS: cellMul =
+/// cardinality, compStride 1. FieldBase::strides(dev) builds it.
+struct LayoutStrides
+{
+    int64_t cellMul = 1;
+    int64_t compStride = 0;
+
+    [[nodiscard]] int64_t operator()(int64_t cell, int32_t c) const
+    {
+        return cell * cellMul + c * compStride;
+    }
+};
+
 template <typename GridT, typename T>
 class FieldBase
 {
@@ -213,8 +230,18 @@ class FieldBase
     }
 
     /// Raw host-mirror pointer for device `dev` (derived classes index it
-    /// through their partition's bufIdx).
+    /// through their partition's flatIdx).
     [[nodiscard]] T* rawHost(int dev) const { return mCore->data.rawHost(dev); }
+
+    /// Addressing multipliers of device `dev`'s buffer (every partition's
+    /// getPartition takes them from here).
+    [[nodiscard]] LayoutStrides strides(int dev) const
+    {
+        if (mCore->layout == MemLayout::structOfArrays) {
+            return {1, static_cast<int64_t>(mCore->data.count(dev)) / mCore->card};
+        }
+        return {mCore->card, 1};
+    }
 
     std::shared_ptr<Core> mCore;
 };

@@ -16,34 +16,24 @@ namespace neon::egrid {
 template <typename T>
 struct EPartition
 {
-    T*              mem = nullptr;
-    int32_t         nLocal = 0;  ///< owned + ghost cells
-    int32_t         nOwned = 0;
-    int32_t         card = 1;
-    MemLayout       layout = MemLayout::structOfArrays;
-    T               outside = T{};
-    const int32_t*  conn = nullptr;  ///< [point][ownedCell]
-    int32_t         nPoints = 0;
-    const int16_t*  lut = nullptr;  ///< offset -> point slot
-    int32_t         lutR = 1;
-    const index_3d* coords = nullptr;
-
-    [[nodiscard]] size_t bufIdx(int32_t cell, int32_t c) const
-    {
-        if (layout == MemLayout::structOfArrays) {
-            return static_cast<size_t>(c) * static_cast<size_t>(nLocal) +
-                   static_cast<size_t>(cell);
-        }
-        return static_cast<size_t>(cell) * static_cast<size_t>(card) + static_cast<size_t>(c);
-    }
+    T*                    mem = nullptr;
+    int32_t               nOwned = 0;
+    int32_t               card = 1;
+    domain::LayoutStrides strides;  ///< over owned + ghost cells
+    T                     outside = T{};
+    const int32_t*        conn = nullptr;  ///< [point][ownedCell]
+    int32_t               nPoints = 0;
+    const int16_t*        lut = nullptr;  ///< offset -> point slot
+    int32_t               lutR = 1;
+    const index_3d*       coords = nullptr;
 
     [[nodiscard]] T& operator()(const ECell& cell, int32_t c = 0)
     {
-        return mem[bufIdx(cell.idx, c)];
+        return mem[strides(cell.idx, c)];
     }
     [[nodiscard]] const T& operator()(const ECell& cell, int32_t c = 0) const
     {
-        return mem[bufIdx(cell.idx, c)];
+        return mem[strides(cell.idx, c)];
     }
 
     struct NghData
@@ -61,7 +51,7 @@ struct EPartition
         if (j < 0) {
             return {outside, false};
         }
-        return {mem[bufIdx(j, c)], true};
+        return {mem[strides(j, c)], true};
     }
 
     /// Neighbour by 3-D offset: resolved to a slot via the grid's LUT so the
@@ -104,7 +94,7 @@ struct EPartition
     /// adds to rawHost() (domain contract, shared by every grid's partition).
     [[nodiscard]] size_t flatIdx(const ECell& cell, int32_t c) const
     {
-        return bufIdx(cell.idx, c);
+        return static_cast<size_t>(strides(cell.idx, c));
     }
 
     [[nodiscard]] int32_t cardinality() const { return card; }
@@ -167,10 +157,9 @@ class EField : public domain::FieldBase<EGrid, T>
         const auto& p = g.part(dev);
         Partition   part;
         part.mem = this->mCore->data.rawDev(dev);
-        part.nLocal = p.nLocal();
         part.nOwned = p.nOwned;
         part.card = cardinality();
-        part.layout = layout();
+        part.strides = this->strides(dev);
         part.outside = outsideValue();
         part.conn = g.connectivity().rawDev(dev);
         part.nPoints = g.stencilPointCount();
@@ -185,8 +174,7 @@ class EField : public domain::FieldBase<EGrid, T>
     {
         auto [dev, idx] = grid().localOf(g);
         NEON_CHECK(dev >= 0, "hRef on an inactive cell");
-        Partition p = getPartition(dev);
-        return this->rawHost(dev)[p.bufIdx(idx, c)];
+        return this->rawHost(dev)[this->strides(dev)(idx, c)];
     }
 
     [[nodiscard]] T hVal(const index_3d& g, int32_t c = 0) const { return hRef(g, c); }

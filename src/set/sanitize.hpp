@@ -261,9 +261,9 @@ class Ref
 
 /// Instrumented partition view: wraps a raw partition (DPartition /
 /// EPartition / BPartition / GlobalScalar::View) and forwards the kernel
-/// surface — operator(), ngh*, globalIdx, cardinality — recording each call
-/// into the current chunk Sink. Members are templates, so only the methods
-/// a kernel actually uses need to exist on P.
+/// surface — operator(), ngh*, globalIdx, cardinality, cellAt — recording
+/// each access into the current chunk Sink. Members are instantiated on
+/// use, so only the methods a kernel actually uses need to exist on P.
 template <typename P>
 class View
 {
@@ -333,6 +333,13 @@ class View
     }
 
     [[nodiscard]] int32_t cardinality() const { return mPart.cardinality(); }
+
+    /// DPartition cell factory (carries the flat offset; unrecorded — only
+    /// the access through the returned cell is).
+    [[nodiscard]] auto cellAt(int32_t x, int32_t y, int32_t z) const
+    {
+        return mPart.cellAt(x, y, z);
+    }
 
     /// Escape hatch to the raw partition (unrecorded).
     [[nodiscard]] P&       raw() { return mPart; }

@@ -214,8 +214,7 @@ TEST_F(SanitizerTest, DetectsOutOfSpanWrite)
             if (c.z == 5) {
                 // Write a halo plane the launch span does not cover (the
                 // memory exists: radius-1 halo below z=0).
-                dgrid::DCell stray{c.x, c.y, -1};
-                dp(stray) = 2.0;
+                dp(dp.cellAt(c.x, c.y, -1)) = 2.0;
             }
         };
     });

@@ -75,19 +75,26 @@ TEST(DField, OutsideDomainReturnsOutsideValue)
 {
     DGrid grid(Backend::cpu(1), {3, 3, 3}, Stencil::laplace7());
     auto  f = grid.newField<float>("f", 1, 42.0f);
-    f.forEachHost([](const index_3d&, int, float& v) { v = 1.0f; });
+    // Distinct per-cell values: a neighbour resolved at a wrong offset
+    // reads a different number.
+    f.forEachHost([](const index_3d& g, int, float& v) {
+        v = static_cast<float>(1 + g.x + 3 * g.y + 9 * g.z);
+    });
     f.updateDev();
     auto part = f.getPartition(0);
 
-    auto low = part.nghData({0, 0, 0}, {-1, 0, 0});
+    auto low = part.nghData(part.cellAt(0, 0, 0), {-1, 0, 0});
     EXPECT_FALSE(low.isValid);
     EXPECT_EQ(low.value, 42.0f);
-    auto high = part.nghData({2, 2, 2}, {0, 0, 1});
+    auto high = part.nghData(part.cellAt(2, 2, 2), {0, 0, 1});
     EXPECT_FALSE(high.isValid);
     EXPECT_EQ(high.value, 42.0f);
-    auto in = part.nghData({1, 1, 1}, {0, 0, 1});
+    auto in = part.nghData(part.cellAt(1, 1, 1), {0, 0, 1});
     EXPECT_TRUE(in.isValid);
-    EXPECT_EQ(in.value, 1.0f);
+    EXPECT_EQ(in.value, static_cast<float>(1 + 1 + 3 * 1 + 9 * 2));
+    auto diag = part.nghData(part.cellAt(1, 1, 1), {1, -1, -1});
+    EXPECT_TRUE(diag.isValid);
+    EXPECT_EQ(diag.value, static_cast<float>(1 + 2 + 3 * 0 + 9 * 0));
 }
 
 TEST(DField, SoABufferIsComponentMajor)
@@ -97,8 +104,8 @@ TEST(DField, SoABufferIsComponentMajor)
     auto  p = f.getPartition(0);
     // Component stride is one full (z+halo) volume.
     const size_t compStride = static_cast<size_t>(2) * 2 * (2 + 2 * grid.haloRadius());
-    EXPECT_EQ(p.bufIdx(0, 0, 0, 1) - p.bufIdx(0, 0, 0, 0), compStride);
-    EXPECT_EQ(p.bufIdx(1, 0, 0, 0) - p.bufIdx(0, 0, 0, 0), 1u);
+    EXPECT_EQ(p.flatIdx(p.cellAt(0, 0, 0), 1) - p.flatIdx(p.cellAt(0, 0, 0), 0), compStride);
+    EXPECT_EQ(p.flatIdx(p.cellAt(1, 0, 0), 0) - p.flatIdx(p.cellAt(0, 0, 0), 0), 1u);
 }
 
 TEST(DField, AoSBufferIsCellMajor)
@@ -106,8 +113,8 @@ TEST(DField, AoSBufferIsCellMajor)
     DGrid grid(Backend::cpu(1), {2, 2, 2}, Stencil::laplace7());
     auto  f = grid.newField<int>("f", 3, 0, MemLayout::arrayOfStructs);
     auto  p = f.getPartition(0);
-    EXPECT_EQ(p.bufIdx(0, 0, 0, 1) - p.bufIdx(0, 0, 0, 0), 1u);
-    EXPECT_EQ(p.bufIdx(1, 0, 0, 0) - p.bufIdx(0, 0, 0, 0), 3u);
+    EXPECT_EQ(p.flatIdx(p.cellAt(0, 0, 0), 1) - p.flatIdx(p.cellAt(0, 0, 0), 0), 1u);
+    EXPECT_EQ(p.flatIdx(p.cellAt(1, 0, 0), 0) - p.flatIdx(p.cellAt(0, 0, 0), 0), 3u);
 }
 
 TEST(DField, AllocatedBytesCoverHalos)

@@ -105,6 +105,7 @@ TEST(Jacobi, OccAndDeviceCountDoNotChangeIterations)
         JacobiOptions options;
         options.maxIterations = 600;
         options.tolerance = 1e-6;
+        options.occ = occ;
         return jacobiSolve<dgrid::DGrid, dgrid::DField<double>, double>(grid, apply, x, b,
                                                                         options);
     };

@@ -25,13 +25,14 @@ std::string to_string(ViolationKind k)
         case ViolationKind::StencilRadiusExceeded: return "stencilRadiusExceeded";
         case ViolationKind::OutOfSpanWrite: return "outOfSpanWrite";
         case ViolationKind::OverdeclaredAccess: return "overdeclaredAccess";
+        case ViolationKind::InvalidNghRead: return "invalidNghRead";
     }
     return "?";
 }
 
 namespace {
 
-constexpr std::array<ViolationKind, 16> kAllKinds = {
+constexpr std::array<ViolationKind, 17> kAllKinds = {
     ViolationKind::MissingDependency,     ViolationKind::SpuriousEdge,
     ViolationKind::StaleHaloRead,         ViolationKind::GraphCycle,
     ViolationKind::LevelOrder,            ViolationKind::DeadNodeScheduled,
@@ -40,6 +41,7 @@ constexpr std::array<ViolationKind, 16> kAllKinds = {
     ViolationKind::UndeclaredWrite,       ViolationKind::WriteViaReadAccess,
     ViolationKind::UndeclaredStencil,     ViolationKind::StencilRadiusExceeded,
     ViolationKind::OutOfSpanWrite,        ViolationKind::OverdeclaredAccess,
+    ViolationKind::InvalidNghRead,
 };
 
 std::string jsonEscape(const std::string& s)

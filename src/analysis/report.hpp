@@ -30,6 +30,7 @@ enum class ViolationKind : uint8_t
     StencilRadiusExceeded,  ///< neighbour offset beyond the halo radius
     OutOfSpanWrite,         ///< wrote a cell outside the launched span
     OverdeclaredAccess,     ///< declared, but never touched on any device
+    InvalidNghRead,         ///< read through an invalid neighbour handle
 };
 
 std::string to_string(ViolationKind k);

@@ -115,6 +115,12 @@ void diffEntry(const Entry& e, AnalysisReport& rep)
                << " exceeds the halo radius " << e.haloRadius;
             rep.violations.push_back(make(ViolationKind::StencilRadiusExceeded, e, os.str()));
         }
+        if (o.invalidNgh) {
+            rep.violations.push_back(
+                make(ViolationKind::InvalidNghRead, e,
+                     where(e, nm) + " read through an invalid neighbour handle (test "
+                                    "NghCell::isValid before reading)"));
+        }
         if (o.outOfSpan) {
             std::ostringstream os;
             os << where(e, nm) << " written outside the launched span (slot " << o.outOfSpanSlot

@@ -12,7 +12,9 @@
 //   StencilRadiusExceeded — neighbour offset beyond the grid halo radius,
 //   OutOfSpanWrite       — wrote a cell outside the launched view's span,
 //   OverdeclaredAccess   — declared but never touched on any device
-//                          (inflates edges, serializes independent runs).
+//                          (inflates edges, serializes independent runs),
+//   InvalidNghRead       — read through an invalid neighbour handle (the
+//                          value is the centre cell's, not a neighbour's).
 //
 // Enabled per run via Container::launch(..., sanitized), per skeleton via
 // SequenceOptions::withSanitize / Skeleton::validate(Deep), or process-wide

@@ -12,12 +12,15 @@
 
 #include "bgrid/bgrid.hpp"
 #include "domain/field_base.hpp"
+#include "domain/ngh_cell.hpp"
 
 namespace neon::bgrid {
 
 template <typename T>
 struct BPartition
 {
+    using NghCell = domain::NghCell<BCell>;
+
     T*                    mem = nullptr;
     int32_t               card = 1;
     int32_t               blockDim = 2;
@@ -53,11 +56,13 @@ struct BPartition
         bool isValid = false;
     };
 
-    /// Neighbour read. Same-block reads test the activity mask directly;
-    /// block-crossing reads resolve the target block through the
-    /// 27-direction table, then test its mask. Inactive / outside-domain
-    /// neighbours return the field's outsideValue (isValid == false).
-    [[nodiscard]] NghData nghData(const BCell& cell, const index_3d& offset, int32_t c = 0) const
+    /// Resolve a neighbour once (docs/domain.md, "Neighbour handles").
+    /// Same-block neighbours test the activity mask directly; block-crossing
+    /// ones resolve the target block through the 27-direction table, then
+    /// test its mask. Inactive / outside-domain neighbours give an invalid
+    /// handle holding the centre cell.
+    [[nodiscard, gnu::always_inline]] NghCell nghCell(const BCell& cell,
+                                                      const index_3d& offset) const
     {
         int32_t nx = cell.x + offset.x;
         int32_t ny = cell.y + offset.y;
@@ -73,15 +78,30 @@ struct BPartition
         if (sx != 0 || sy != 0 || sz != 0) {
             const int32_t dir = ((sz + 1) * 3 + (sy + 1)) * 3 + (sx + 1);
             block = blockNgh[static_cast<size_t>(cell.block) * 27 + static_cast<size_t>(dir)];
-            if (block < 0) {
-                return {outside, false};
+            if (block < 0) [[unlikely]] {
+                return {cell, offset, false};
             }
         }
-        const int32_t v = voxelOf(nx, ny, nz);
-        if (((masks[block] >> v) & 1) == 0) {
-            return {outside, false};
+        if (((masks[block] >> voxelOf(nx, ny, nz)) & 1) == 0) [[unlikely]] {
+            return {cell, offset, false};
         }
-        return {mem[strides(static_cast<int64_t>(block) * blockVol + v, c)], true};
+        return {BCell{block, static_cast<int8_t>(nx), static_cast<int8_t>(ny),
+                      static_cast<int8_t>(nz)},
+                offset, true};
+    }
+
+    /// Read through a handle resolved on any field of this grid and device.
+    [[nodiscard]] T operator()(const NghCell& ngh, int32_t c = 0) const
+    {
+        return mem[strides(cellIdx(ngh.cell), c)];
+    }
+
+    /// Neighbour read; inactive / outside-domain neighbours return the
+    /// field's outsideValue (isValid == false).
+    [[nodiscard]] NghData nghData(const BCell& cell, const index_3d& offset, int32_t c = 0) const
+    {
+        const NghCell ngh = nghCell(cell, offset);
+        return {ngh.isValid ? (*this)(ngh, c) : outside, ngh.isValid};
     }
 
     [[nodiscard]] T nghVal(const BCell& cell, const index_3d& offset, int32_t c = 0) const

@@ -11,6 +11,7 @@
 
 #include "dgrid/dgrid.hpp"
 #include "domain/field_base.hpp"
+#include "domain/ngh_cell.hpp"
 
 namespace neon::dgrid {
 
@@ -22,6 +23,8 @@ namespace neon::dgrid {
 template <typename T>
 struct DPartition
 {
+    using NghCell = domain::NghCell<DCell>;
+
     T*                    mem = nullptr;
     int32_t               dimX = 0;
     int32_t               dimY = 0;
@@ -56,21 +59,37 @@ struct DPartition
         bool isValid = false;
     };
 
-    /// Read a neighbour's value; cells outside the global domain return the
-    /// field's outsideValue (isValid == false). Neighbours in another
-    /// partition are served from the halo planes.
-    [[nodiscard]] NghData nghData(const DCell& cell, const index_3d& offset, int32_t c = 0) const
+    /// Resolve a neighbour once (docs/domain.md, "Neighbour handles"): the
+    /// bounds tests plus the pitch delta. Cells outside the global domain
+    /// give an invalid handle holding the centre cell. Neighbours in
+    /// another partition resolve into the halo planes.
+    [[nodiscard, gnu::always_inline]] NghCell nghCell(const DCell& cell,
+                                                      const index_3d& offset) const
     {
         const int32_t nx = cell.x + offset.x;
         const int32_t ny = cell.y + offset.y;
-        if (nx < 0 || nx >= dimX || ny < 0 || ny >= dimY) {
-            return {outside, false};
+        if (nx < 0 || nx >= dimX || ny < 0 || ny >= dimY) [[unlikely]] {
+            return {cell, offset, false};
         }
         const int32_t gz = zOrigin + cell.z + offset.z;
-        if (gz < 0 || gz >= globalZ) {
-            return {outside, false};
+        if (gz < 0 || gz >= globalZ) [[unlikely]] {
+            return {cell, offset, false};
         }
-        return {mem[strides(nghIdx(cell, offset), c)], true};
+        return {DCell(nx, ny, cell.z + offset.z, nghIdx(cell, offset)), offset, true};
+    }
+
+    /// Read through a handle resolved on any field of this grid and device.
+    [[nodiscard]] T operator()(const NghCell& ngh, int32_t c = 0) const
+    {
+        return mem[strides(ngh.cell.idx, c)];
+    }
+
+    /// Read a neighbour's value; cells outside the global domain return the
+    /// field's outsideValue (isValid == false).
+    [[nodiscard]] NghData nghData(const DCell& cell, const index_3d& offset, int32_t c = 0) const
+    {
+        const NghCell ngh = nghCell(cell, offset);
+        return {ngh.isValid ? (*this)(ngh, c) : outside, ngh.isValid};
     }
 
     [[nodiscard]] T nghVal(const DCell& cell, const index_3d& offset, int32_t c = 0) const

@@ -20,6 +20,7 @@
 #include "core/index3d.hpp"
 #include "core/stencil.hpp"
 #include "core/types.hpp"
+#include "domain/ngh_cell.hpp"
 #include "set/access.hpp"
 
 namespace neon::domain {
@@ -103,5 +104,17 @@ concept FieldConcept =
         f.updateHost();
         f.forEachActiveHost([](const index_3d&, int, typename F::Type&) {});
     };
+
+/// The neighbour-handle surface of a partition over cells `Cell`
+/// (docs/domain.md, "Neighbour handles"): `nghCell` resolves a neighbour
+/// once; the read accessor takes the handle and returns the value `T` by
+/// copy, so there is no way to write through a handle. Checked on every
+/// shipped partition and on the sanitizer's View over it.
+template <typename P, typename Cell, typename T>
+concept NghCellReadable = requires(const P p, const Cell cell, const index_3d off, int32_t c,
+                                   const NghCell<Cell> ngh) {
+    { p.nghCell(cell, off) } -> std::same_as<NghCell<Cell>>;
+    { p(ngh, c) } -> std::same_as<T>;
+};
 
 }  // namespace neon::domain

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "domain/field_base.hpp"
+#include "domain/ngh_cell.hpp"
 #include "egrid/egrid.hpp"
 
 namespace neon::egrid {
@@ -16,6 +17,8 @@ namespace neon::egrid {
 template <typename T>
 struct EPartition
 {
+    using NghCell = domain::NghCell<ECell>;
+
     T*                    mem = nullptr;
     int32_t               nOwned = 0;
     int32_t               card = 1;
@@ -45,33 +48,53 @@ struct EPartition
     /// Neighbour by stencil-point slot (fast path: one table lookup).
     [[nodiscard]] NghData nghDataSlot(const ECell& cell, int32_t slot, int32_t c = 0) const
     {
-        const int32_t j =
-            conn[static_cast<size_t>(slot) * static_cast<size_t>(nOwned) +
-                 static_cast<size_t>(cell.idx)];
+        const int32_t j = connAt(cell, slot);
         if (j < 0) {
             return {outside, false};
         }
         return {mem[strides(j, c)], true};
     }
 
-    /// Neighbour by 3-D offset: resolved to a slot via the grid's LUT so the
-    /// same user code runs on DGrid and EGrid (paper §IV: "the same user
-    /// code to operate on a variety of data structures").
-    [[nodiscard]] NghData nghData(const ECell& cell, const index_3d& offset, int32_t c = 0) const
+    /// Resolve a neighbour once (docs/domain.md, "Neighbour handles"): the
+    /// offset goes through the grid's LUT to a stencil-point slot, the slot
+    /// through the connectivity row to the neighbour's local index. Offsets
+    /// outside the stencil and inactive neighbours give an invalid handle
+    /// holding the centre cell.
+    [[nodiscard, gnu::always_inline]] NghCell nghCell(const ECell& cell,
+                                                      const index_3d& offset) const
     {
         if (offset.x < -lutR || offset.x > lutR || offset.y < -lutR || offset.y > lutR ||
-            offset.z < -lutR || offset.z > lutR) {
-            return {outside, false};
+            offset.z < -lutR || offset.z > lutR) [[unlikely]] {
+            return {cell, offset, false};
         }
         const size_t w = 2 * static_cast<size_t>(lutR) + 1;
         const size_t li =
             (static_cast<size_t>(offset.z + lutR) * w + static_cast<size_t>(offset.y + lutR)) * w +
             static_cast<size_t>(offset.x + lutR);
         const int16_t slot = lut[li];
-        if (slot < 0) {
-            return {outside, false};
+        if (slot < 0) [[unlikely]] {
+            return {cell, offset, false};
         }
-        return nghDataSlot(cell, slot, c);
+        const int32_t j = connAt(cell, slot);
+        if (j < 0) [[unlikely]] {
+            return {cell, offset, false};
+        }
+        return {ECell{j}, offset, true};
+    }
+
+    /// Read through a handle resolved on any field of this grid and device.
+    [[nodiscard]] T operator()(const NghCell& ngh, int32_t c = 0) const
+    {
+        return mem[strides(ngh.cell.idx, c)];
+    }
+
+    /// Neighbour by 3-D offset, so the same user code runs on DGrid and
+    /// EGrid (paper §IV: "the same user code to operate on a variety of
+    /// data structures").
+    [[nodiscard]] NghData nghData(const ECell& cell, const index_3d& offset, int32_t c = 0) const
+    {
+        const NghCell ngh = nghCell(cell, offset);
+        return {ngh.isValid ? (*this)(ngh, c) : outside, ngh.isValid};
     }
 
     [[nodiscard]] T nghVal(const ECell& cell, const index_3d& offset, int32_t c = 0) const
@@ -109,6 +132,14 @@ struct EPartition
         const int32_t ay = offset.y < 0 ? -offset.y : offset.y;
         const int32_t az = offset.z < 0 ? -offset.z : offset.z;
         return ax > ay ? (ax > az ? ax : az) : (ay > az ? ay : az);
+    }
+
+   private:
+    /// Local index of the neighbour at a stencil-point slot (-1: inactive).
+    [[nodiscard]] int32_t connAt(const ECell& cell, int32_t slot) const
+    {
+        return conn[static_cast<size_t>(slot) * static_cast<size_t>(nOwned) +
+                    static_cast<size_t>(cell.idx)];
     }
 };
 

@@ -5,8 +5,8 @@
 //
 // Per-neighbour blocks depend on which of the node's 8 incident elements
 // exist; we precompute a table over all 256 activity masks so the kernel
-// reduces to: build mask (27 activity reads) -> 27 block-times-vector
-// accumulations. Node activity is carried by a cardinality-1 field, so the
+// reduces to: resolve the 26 neighbours once -> build mask (27 activity
+// reads) -> 27 block-times-vector accumulations. Node activity is carried by a cardinality-1 field, so the
 // same kernel runs on a dense grid with a masked (sparse-in-dense) domain
 // and on an element-sparse EGrid — the exact comparison of Fig. 9.
 //
@@ -15,10 +15,16 @@
 // operator stays SPD) and an outward pressure on the z = N-1 plane
 // (Neumann, entering through the right-hand side).
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/index3d.hpp"
+#include "domain/ngh_cell.hpp"
 #include "fem/hex8.hpp"
 #include "solver/cg.hpp"
 
@@ -71,92 +77,75 @@ struct ElasticProblem
     }
 };
 
+/// Bits of the 8 nodes of incident element c in the kernel's 27-bit
+/// node-activity word (bit = nghSlot): the element exists iff all are set.
+constexpr uint32_t elementNodeBits(int c)
+{
+    const auto o = NodeStencilTable::cornerOrigin(c);
+    uint32_t   bits = 0;
+    for (int n = 0; n < 8; ++n) {
+        const auto k = hex8Corner(n);
+        bits |= 1u << nghSlot(o[0] + k[0], o[1] + k[1], o[2] + k[2]);
+    }
+    return bits;
+}
+
 /// Container factory: out = A*in where A is the constrained stiffness
 /// P K P + (I - P). `act` flags active nodes (1) and is stencil-read.
+/// Each of the 26 neighbours is resolved once into a handle; activity and
+/// displacements are both read through it.
 template <typename Grid, typename FieldT, typename FlagFieldT>
 set::Container makeElasticApply(const Grid& grid, const ElasticProblem& problem, FlagFieldT act,
                                 FieldT in, FieldT out, std::string name = "elasticApply")
 {
-    auto          table = problem.table;
-    const int32_t zTop = grid.dim().z;  // unused placeholder to keep layout uniform
-    (void)zTop;
+    auto table = problem.table;
     return grid.newContainer(std::move(name), [table, act, in, out](auto& l) mutable {
         auto ap = l.load(act, Access::READ, Compute::STENCIL);
         auto up = l.load(in, Access::READ, Compute::STENCIL);
         auto op = l.load(out, Access::WRITE);
         return [=](const auto& cell) mutable {
-            // Local activity neighbourhood (node exists and is active).
-            bool nodeActive[27];
-            for (int dz = -1; dz <= 1; ++dz) {
-                for (int dy = -1; dy <= 1; ++dy) {
-                    for (int dx = -1; dx <= 1; ++dx) {
-                        if (dx == 0 && dy == 0 && dz == 0) {
-                            nodeActive[nghSlot(0, 0, 0)] = ap(cell) != 0;
-                        } else {
-                            const auto a = ap.nghData(cell, {dx, dy, dz}, 0);
-                            nodeActive[nghSlot(dx, dy, dz)] = a.isValid && a.value != 0;
-                        }
-                    }
-                }
-            }
             const index_3d g = up.globalIdx(cell);
-            if (!nodeActive[nghSlot(0, 0, 0)]) {
-                // Inactive (masked) node: identity row keeps A SPD.
+            if (ap(cell) == 0 || g.z == 0) {
+                // Inactive (masked) node or Dirichlet row (z = 0): out = u,
+                // an identity row that keeps A SPD.
                 for (int d = 0; d < 3; ++d) {
                     op(cell, d) = up(cell, d);
                 }
                 return;
+            }
+            // The neighbourhood in slot order; the centre is the cell itself.
+            using Ngh = domain::NghCell<std::remove_cvref_t<decltype(cell)>>;
+            const auto ngh = [&]<int... S>(std::integer_sequence<int, S...>) {
+                return std::array<Ngh, 27>{
+                    (S == nghSlot(0, 0, 0)
+                         ? Ngh{cell, {0, 0, 0}, true}
+                         : ap.nghCell(cell, {S % 3 - 1, S / 3 % 3 - 1, S / 9 - 1}))...};
+            }(std::make_integer_sequence<int, 27>{});
+            uint32_t active = 0;
+            for (int s = 0; s < 27; ++s) {
+                if (ngh[s].isValid && ap(ngh[s]) != 0) {
+                    active |= 1u << s;
+                }
             }
             // Incident-element mask: element c exists iff its 8 nodes are
             // active.
             int mask = 0;
             for (int c = 0; c < 8; ++c) {
-                const auto o = NodeStencilTable::cornerOrigin(c);
-                bool       all = true;
-                for (int n = 0; n < 8 && all; ++n) {
-                    const auto k = hex8Corner(n);
-                    all = nodeActive[nghSlot(o[0] + k[0], o[1] + k[1], o[2] + k[2])];
-                }
-                if (all) {
+                const uint32_t nodes = elementNodeBits(c);
+                if ((active & nodes) == nodes) {
                     mask |= 1 << c;
                 }
             }
-            const bool fixedSelf = g.z == 0;
-            if (fixedSelf) {
-                // Dirichlet row: out = u (projection keeps SPD).
-                for (int d = 0; d < 3; ++d) {
-                    op(cell, d) = up(cell, d);
-                }
-                return;
-            }
-            double acc[3] = {0.0, 0.0, 0.0};
-            for (int dz = -1; dz <= 1; ++dz) {
-                for (int dy = -1; dy <= 1; ++dy) {
-                    for (int dx = -1; dx <= 1; ++dx) {
-                        const int slot = nghSlot(dx, dy, dz);
-                        if (!nodeActive[slot]) {
-                            continue;
-                        }
-                        if (g.z + dz == 0) {
-                            continue;  // fixed source node: u treated as 0
-                        }
-                        const double* K = table->block(mask, slot);
-                        double        u[3];
-                        if (dx == 0 && dy == 0 && dz == 0) {
-                            for (int d = 0; d < 3; ++d) {
-                                u[d] = up(cell, d);
-                            }
-                        } else {
-                            // nodeActive proved the neighbour exists.
-                            for (int d = 0; d < 3; ++d) {
-                                u[d] = up.nghValUnchecked(cell, {dx, dy, dz}, d);
-                            }
-                        }
-                        for (int r = 0; r < 3; ++r) {
-                            acc[r] += K[r * 3 + 0] * u[0] + K[r * 3 + 1] * u[1] +
-                                      K[r * 3 + 2] * u[2];
-                        }
-                    }
+            // Sources on the fixed z = 0 plane carry u = 0: drop the
+            // dz = -1 slots of the first free plane.
+            const uint32_t sources = g.z == 1 ? active & ~0x1FFu : active;
+            double         acc[3] = {0.0, 0.0, 0.0};
+            for (uint32_t m = sources; m != 0; m &= m - 1) {
+                const int     slot = std::countr_zero(m);
+                const double* K = table->block(mask, slot);
+                const double  u[3] = {up(ngh[slot], 0), up(ngh[slot], 1), up(ngh[slot], 2)};
+                for (int r = 0; r < 3; ++r) {
+                    acc[r] += K[r * 3 + 0] * u[0] + K[r * 3 + 1] * u[1] + K[r * 3 + 2] * u[2];
                 }
             }
             for (int d = 0; d < 3; ++d) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/index3d.hpp"
+#include "domain/ngh_cell.hpp"
 #include "domain/span.hpp"
 #include "set/access.hpp"
 
@@ -41,7 +42,8 @@ struct AccessObs
 {
     bool    read = false;         ///< own-cell read (or proxy conversion)
     bool    written = false;      ///< own-cell write through the proxy
-    bool    stencil = false;      ///< any ngh* call
+    bool    stencil = false;      ///< any ngh* call or neighbour-handle read
+    bool    invalidNgh = false;   ///< read through an invalid neighbour handle
     bool    outOfSpan = false;    ///< wrote a cell outside the launched span
     int32_t maxExtent = 0;        ///< largest stencilExtent over ngh* offsets
     int32_t maxComponent = 0;     ///< largest SoA component touched
@@ -85,6 +87,7 @@ struct AccessObs
         read = read || o.read;
         written = written || o.written;
         stencil = stencil || o.stencil;
+        invalidNgh = invalidNgh || o.invalidNgh;
         if (o.outOfSpan) {
             if (!outOfSpan || o.outOfSpanSlot < outOfSpanSlot) {
                 outOfSpanSlot = o.outOfSpanSlot;
@@ -264,6 +267,9 @@ class Ref
 /// surface — operator(), ngh*, globalIdx, cardinality, cellAt — recording
 /// each access into the current chunk Sink. Members are instantiated on
 /// use, so only the methods a kernel actually uses need to exist on P.
+/// A read through a neighbour handle (domain::NghCell) is recorded on the
+/// view being read as a stencil read at the handle's offset, whichever
+/// field resolved the handle.
 template <typename P>
 class View
 {
@@ -274,18 +280,29 @@ class View
     template <typename CellT>
     auto operator()(const CellT& cell, int32_t c = 0)
     {
-        using T = std::remove_reference_t<decltype(mPart(cell, c))>;
-        Sink*      sink = currentSink();
-        AccessObs* obs = sink != nullptr ? &sink->at(mSlot) : nullptr;
-        const int32_t slot = P::spanSlotOf(cell);
-        const bool in = sink == nullptr || sink->inSpan(slot);
-        return Ref<T>(&mPart(cell, c), obs, in, slot, c);
+        if constexpr (domain::kIsNghCell<CellT>) {
+            return std::as_const(*this)(cell, c);  // handles are read-only
+        } else {
+            using T = std::remove_reference_t<decltype(mPart(cell, c))>;
+            Sink*      sink = currentSink();
+            AccessObs* obs = sink != nullptr ? &sink->at(mSlot) : nullptr;
+            const int32_t slot = P::spanSlotOf(cell);
+            const bool in = sink == nullptr || sink->inSpan(slot);
+            return Ref<T>(&mPart(cell, c), obs, in, slot, c);
+        }
     }
 
     template <typename CellT>
     auto operator()(const CellT& cell, int32_t c = 0) const
     {
-        note([&](AccessObs& o) { o.noteRead(c); });
+        if constexpr (domain::kIsNghCell<CellT>) {
+            note([&](AccessObs& o) {
+                o.noteNgh(P::stencilExtent(cell.offset), c);
+                o.invalidNgh = o.invalidNgh || !cell.isValid;
+            });
+        } else {
+            note([&](AccessObs& o) { o.noteRead(c); });
+        }
         return mPart(cell, c);
     }
 
@@ -294,6 +311,13 @@ class View
     {
         note([](AccessObs& o) { o.noteRead(0); });
         return mPart();
+    }
+
+    /// Neighbour resolution (unrecorded: only reads through the handle are).
+    template <typename CellT>
+    auto nghCell(const CellT& cell, const index_3d& offset) const
+    {
+        return mPart.nghCell(cell, offset);
     }
 
     template <typename CellT>

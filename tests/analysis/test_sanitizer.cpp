@@ -201,6 +201,87 @@ TEST_F(SanitizerTest, RadiusOneStencilIsClean)
 }
 
 // ---------------------------------------------------------------------------
+// Neighbour handles (domain::NghCell): a read through a handle is a stencil
+// read of the field being read, whichever field resolved the handle.
+// ---------------------------------------------------------------------------
+
+TEST_F(SanitizerTest, HandleReadsAreClean)
+{
+    Rig  rig(Backend::cpu(2));
+    auto ok = rig.grid.newContainer("handleSum", [a = rig.f0, b = rig.f1, d = rig.f2](auto& l) mutable {
+        auto ap = l.load(a, Access::READ, Compute::STENCIL);
+        auto bp = l.load(b, Access::READ, Compute::STENCIL);
+        auto dp = l.load(d, Access::WRITE);
+        return [=](const dgrid::DCell& c) mutable {
+            const auto h = ap.nghCell(c, {0, 0, 1});
+            dp(c) = h.isValid ? ap(h) + bp(h) : 0.0;
+        };
+    });
+    const AnalysisReport rep =
+        sanitizeRun(rig, {rig.fill("w0", rig.f0, 1.0), rig.fill("w1", rig.f1, 2.0), ok});
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+}
+
+TEST_F(SanitizerTest, DetectsUndeclaredStencilThroughHandle)
+{
+    // The handle is resolved on a STENCIL-declared field and read through a
+    // MAP-declared one: only the MAP field is reported.
+    Rig  rig(Backend::cpu(2));
+    auto bad = rig.grid.newContainer("mapHandle", [a = rig.f0, b = rig.f1, d = rig.f2](auto& l) mutable {
+        auto ap = l.load(a, Access::READ, Compute::STENCIL);
+        auto bp = l.load(b, Access::READ);  // declared MAP, read through a handle
+        auto dp = l.load(d, Access::WRITE);
+        return [=](const dgrid::DCell& c) mutable {
+            const auto h = ap.nghCell(c, {0, 0, 1});
+            dp(c) = h.isValid ? ap(h) + bp(h) : 0.0;
+        };
+    });
+    const AnalysisReport rep =
+        sanitizeRun(rig, {rig.fill("w0", rig.f0, 1.0), rig.fill("w1", rig.f1, 2.0), bad});
+    EXPECT_TRUE(hasViolationOn(rep, ViolationKind::UndeclaredStencil, "mapHandle"))
+        << rep.toString();
+    for (const auto& v : rep.violations) {
+        EXPECT_NE(v.message.find("'f1'"), std::string::npos) << v.message;
+    }
+}
+
+TEST_F(SanitizerTest, DetectsStencilRadiusExceededThroughHandle)
+{
+    Rig  rig(Backend::cpu(1));  // laplace7 => halo radius 1
+    auto bad = rig.grid.newContainer("wideHandle", [src = rig.f0, dst = rig.f1](auto& l) mutable {
+        auto sp = l.load(src, Access::READ, Compute::STENCIL);
+        auto dp = l.load(dst, Access::WRITE);
+        return [=](const dgrid::DCell& c) mutable {
+            double v = sp(c);
+            if (c.z == 5) {
+                const auto h = sp.nghCell(c, {0, 0, 2});
+                v = h.isValid ? sp(h) : v;
+            }
+            dp(c) = v;
+        };
+    });
+    const AnalysisReport rep = sanitizeRun(rig, {rig.fill("w0", rig.f0, 1.0), bad});
+    EXPECT_TRUE(hasViolationOn(rep, ViolationKind::StencilRadiusExceeded, "wideHandle"))
+        << rep.toString();
+}
+
+TEST_F(SanitizerTest, DetectsInvalidNghRead)
+{
+    // Reading through the handle without testing isValid: at the domain
+    // boundary the handle is invalid and the read returns the centre cell.
+    Rig  rig(Backend::cpu(2));
+    auto bad = rig.grid.newContainer("blindHandle", [src = rig.f0, dst = rig.f1](auto& l) mutable {
+        auto sp = l.load(src, Access::READ, Compute::STENCIL);
+        auto dp = l.load(dst, Access::WRITE);
+        return [=](const dgrid::DCell& c) mutable { dp(c) = sp(sp.nghCell(c, {0, 0, -1})); };
+    });
+    const AnalysisReport rep = sanitizeRun(rig, {rig.fill("w0", rig.f0, 1.0), bad});
+    EXPECT_TRUE(hasViolationOn(rep, ViolationKind::InvalidNghRead, "blindHandle"))
+        << rep.toString();
+    EXPECT_EQ(rep.violations.size(), rep.count(ViolationKind::InvalidNghRead)) << rep.toString();
+}
+
+// ---------------------------------------------------------------------------
 // OutOfSpanWrite
 // ---------------------------------------------------------------------------
 

@@ -9,7 +9,10 @@
 //      single-device reference,
 //   4. Sequential-vs-Threaded engine bitwise equivalence under OCC,
 //      including back-to-back runs of *alternating* skeletons (the
-//      backend-level inter-run barrier regression).
+//      backend-level inter-run barrier regression),
+//   5. neighbour handles: nghCell plus a handle read equals nghData, for
+//      the field that resolved the handle and for any other field of the
+//      grid; the sanitizer's View forwards the same surface.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +21,9 @@
 #include "bgrid/bfield.hpp"
 #include "dgrid/dfield.hpp"
 #include "egrid/efield.hpp"
+#include "domain/concepts.hpp"
 #include "set/container.hpp"
+#include "set/sanitize.hpp"
 #include "skeleton/skeleton.hpp"
 
 namespace neon::domain {
@@ -141,6 +146,27 @@ std::vector<double> runStencilIterations(EngineKind engine, Occ occ, int iters)
 
 }  // namespace
 
+/// The handle surface of Grid's partitions, raw and sanitized: a View that
+/// stopped forwarding nghCell or handle reads fails to compile here.
+template <typename Grid, typename T>
+constexpr bool handleSurfaceForwarded()
+{
+    using Cell = typename Grid::Cell;
+    using P = typename Grid::template FieldType<T>::Partition;
+    using V = set::sanitize::View<P>;
+    static_assert(NghCellReadable<P, Cell, T>);
+    static_assert(NghCellReadable<V, Cell, T>);
+    static_assert(!requires(P p, NghCell<Cell> h, T v) { p(h, 0) = v; }, "handles are read-only");
+    static_assert(!requires(V p, NghCell<Cell> h, T v) { p(h, 0) = v; }, "handles are read-only");
+    return true;
+}
+static_assert(handleSurfaceForwarded<dgrid::DGrid, double>());
+static_assert(handleSurfaceForwarded<dgrid::DGrid, uint8_t>());
+static_assert(handleSurfaceForwarded<egrid::EGrid, double>());
+static_assert(handleSurfaceForwarded<egrid::EGrid, uint8_t>());
+static_assert(handleSurfaceForwarded<bgrid::BGrid, double>());
+static_assert(handleSurfaceForwarded<bgrid::BGrid, uint8_t>());
+
 template <typename Grid>
 class GridConformance : public ::testing::Test
 {
@@ -250,6 +276,84 @@ TYPED_TEST(GridConformance, HaloMatchesSingleDeviceReference)
                         }
                     }
                 });
+            }
+        }
+    }
+}
+
+TYPED_TEST(GridConformance, NghCellMatchesNghData)
+{
+    // For every cell of every view and every offset in [-r, r]^3: the
+    // handle resolved on `f` reads the same value and validity as nghData
+    // on `f` and on `o`, a field of the other layout and cardinality; an
+    // invalid handle reads the centre cell (memory-safe, no branch).
+    const std::vector<DataView> views = {DataView::STANDARD, DataView::INTERNAL,
+                                         DataView::BOUNDARY};
+    for (auto stencil : {Stencil::laplace7(), Stencil::box27()}) {
+        for (int nDev : {1, 3}) {
+            for (auto layout : {MemLayout::structOfArrays, MemLayout::arrayOfStructs}) {
+                for (int card : {1, 3}) {
+                    const auto other = layout == MemLayout::structOfArrays
+                                           ? MemLayout::arrayOfStructs
+                                           : MemLayout::structOfArrays;
+                    auto grid = GridMaker<TypeParam>::make(Backend::cpu(nDev), stencil);
+                    auto f = grid.template newField<double>("f", card, -7.0, layout);
+                    auto o = grid.template newField<double>("o", 4 - card, -5.0, other);
+                    for (auto* field : {&f, &o}) {
+                        field->forEachActiveHost(
+                            [](const index_3d& g, int c, double& v) { v = truth(g, c); });
+                        field->updateDev();
+                    }
+                    StreamSet streams(grid.backend(), 0);
+                    Container::haloUpdate(f.haloOps()).run(streams);
+                    Container::haloUpdate(o.haloOps()).run(streams);
+                    grid.backend().sync();
+
+                    const int r = grid.haloRadius();
+                    size_t    checked = 0;
+                    size_t    valid = 0;
+                    size_t    mismatches = 0;
+                    for (int d = 0; d < nDev; ++d) {
+                        const auto fp = f.getPartition(d);
+                        const auto opart = o.getPartition(d);
+                        for (const DataView view : views) {
+                            grid.span(d, view).forEach([&](const auto& cell) {
+                                index_3d off;
+                                for (off.z = -r; off.z <= r; ++off.z) {
+                                    for (off.y = -r; off.y <= r; ++off.y) {
+                                        for (off.x = -r; off.x <= r; ++off.x) {
+                                            const auto h = fp.nghCell(cell, off);
+                                            valid += h.isValid ? 1 : 0;
+                                            mismatches += h.offset == off ? 0 : 1;
+                                            for (int c = 0; c < card; ++c) {
+                                                const auto nd = fp.nghData(cell, off, c);
+                                                const double v = h.isValid ? fp(h, c) : -7.0;
+                                                mismatches += nd.isValid == h.isValid ? 0 : 1;
+                                                mismatches += nd.value == v ? 0 : 1;
+                                                if (!h.isValid) {
+                                                    mismatches += fp(h, c) == fp(cell, c) ? 0 : 1;
+                                                }
+                                                ++checked;
+                                            }
+                                            for (int c = 0; c < 4 - card; ++c) {
+                                                const auto nd = opart.nghData(cell, off, c);
+                                                const double v = h.isValid ? opart(h, c) : -5.0;
+                                                mismatches += nd.isValid == h.isValid ? 0 : 1;
+                                                mismatches += nd.value == v ? 0 : 1;
+                                                ++checked;
+                                            }
+                                        }
+                                    }
+                                }
+                            });
+                        }
+                    }
+                    EXPECT_EQ(mismatches, 0u) << stencil.name() << " nDev=" << nDev
+                                              << " layout=" << static_cast<int>(layout)
+                                              << " card=" << card;
+                    EXPECT_GT(checked, 0u);
+                    EXPECT_GT(valid, 0u);
+                }
             }
         }
     }
